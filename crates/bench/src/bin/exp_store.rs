@@ -1,7 +1,7 @@
 //! Experiment `exp_store` — the durable write path under honest fsync,
 //! emitted as `BENCH_store.json`.
 //!
-//! Four measurements over `kgq-store` (DESIGN.md §13), all on a single
+//! Five measurements over `kgq-store` (DESIGN.md §13), all on a single
 //! box against a real filesystem:
 //!
 //! 1. **batched append throughput** — triples committed per second when
@@ -18,6 +18,11 @@
 //!    the delta overlay (base segment + added + tombstoned) versus the
 //!    same state materialized into a plain [`TripleStore`], reported as
 //!    a ratio.
+//! 5. **boot scaling** — `open` (segment load + replay of an overlay a
+//!    fifth the base's size), `materialize` and `compact` at three
+//!    store sizes 4× apart, loaded in random order. Each is one bulk
+//!    sorted-run merge, so 16× the data must cost well under 64× the
+//!    time (a per-triple rebuild costs 256×); the run fails otherwise.
 //!
 //! Correctness is asserted before anything is timed: every recovery
 //! must reproduce the exact committed triple set, and the overlay scan
@@ -74,6 +79,59 @@ fn fresh_dir(tag: &str) -> PathBuf {
 
 fn open(dir: &Path) -> DurableStore {
     orfail(DurableStore::open(dir), "open store").0
+}
+
+/// One boot-scaling point: `[open, materialize, compact]` wall times
+/// in ms for a store of `n` base triples under an `n / 5`-op overlay.
+fn boot_point(n: u64) -> [f64; 3] {
+    let dir = fresh_dir(&format!("boot-{n}"));
+    let mut store = open(&dir);
+    // A multiplicative walk visits 0..n in a scattered order (n is a
+    // multiple of 10, the stride is coprime to it).
+    for i in 0..n {
+        let (s, p, o) = triple(i * 7_919 % n);
+        store.stage_insert(&s, &p, &o);
+    }
+    orfail(store.commit(), "commit boot base");
+    orfail(store.compact(), "compact boot base");
+    for i in 0..n / 10 {
+        let (s, p, o) = triple(3_000_000 + i);
+        store.stage_insert(&s, &p, &o);
+        let (s, p, o) = triple(i * 7 % n);
+        store.stage_delete(&s, &p, &o);
+    }
+    orfail(store.commit(), "commit boot overlay");
+    let expected = store.scan_all();
+    assert_eq!(expected.len() as u64, n, "boot store has the wrong size");
+    drop(store);
+
+    // Median of three for the two read-only steps; compaction folds the
+    // overlay exactly once, so it is timed once.
+    let (mut opens, mut folds) = (Vec::new(), Vec::new());
+    let mut store = loop {
+        let (opened, d) = timed(|| open(&dir));
+        opens.push(d.as_secs_f64() * 1e3);
+        let (merged, d) = timed(|| opened.materialize());
+        folds.push(d.as_secs_f64() * 1e3);
+        assert_eq!(merged.len() as u64, n, "materialized view diverged");
+        if opens.len() == 3 {
+            break opened;
+        }
+    };
+    let (r, d) = timed(|| store.compact());
+    orfail(r, "compact boot store");
+    drop(store);
+    assert_eq!(
+        open(&dir).scan_all(),
+        expected,
+        "compaction changed the view"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    [
+        percentile(&opens, 50.0),
+        percentile(&folds, 50.0),
+        d.as_secs_f64() * 1e3,
+    ]
 }
 
 fn main() {
@@ -242,6 +300,16 @@ fn main() {
     let scan_ratio = scan_overlay.as_secs_f64() / scan_plain.as_secs_f64().max(1e-9);
     let count_ratio = count_overlay.as_secs_f64() / count_plain.as_secs_f64().max(1e-9);
 
+    // -- 5. boot scaling ---------------------------------------------------
+    let boot_sizes: [u64; 3] = if quick {
+        [10_000, 40_000, 160_000]
+    } else {
+        [25_000, 100_000, 400_000]
+    };
+    let boot: Vec<[f64; 3]> = boot_sizes.iter().map(|&n| boot_point(n)).collect();
+    let boot_total = |p: &[f64; 3]| p.iter().sum::<f64>();
+    let boot_time_ratio = boot_total(&boot[2]) / boot_total(&boot[0]).max(1e-9);
+
     // -- report -----------------------------------------------------------
     print_table(
         "durable append path (fsync on every commit)",
@@ -279,6 +347,25 @@ fn main() {
         ],
     );
 
+    print_table(
+        "boot scaling (open + materialize + compact, one bulk merge each)",
+        &["triples", "open", "materialize", "compact", "total"],
+        &boot_sizes
+            .iter()
+            .zip(&boot)
+            .map(|(n, p)| {
+                vec![
+                    n.to_string(),
+                    format!("{:.1}ms", p[0]),
+                    format!("{:.1}ms", p[1]),
+                    format!("{:.1}ms", p[2]),
+                    format!("{:.1}ms", boot_total(p)),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    );
+    println!("16x the data costs {boot_time_ratio:.1}x the time (gate: < 64x; quadratic: 256x)\n");
+
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"quick\": {quick},");
     let _ = writeln!(json, "  \"append_batches\": {batches},");
@@ -298,7 +385,25 @@ fn main() {
     );
     let _ = writeln!(json, "  \"overlay_base_triples\": {base_n},");
     let _ = writeln!(json, "  \"overlay_scan_ratio\": {scan_ratio:.3},");
-    let _ = writeln!(json, "  \"overlay_count_ratio\": {count_ratio:.3}");
+    let _ = writeln!(json, "  \"overlay_count_ratio\": {count_ratio:.3},");
+    let _ = writeln!(json, "  \"boot_scaling\": [");
+    for (i, (n, p)) in boot_sizes.iter().zip(&boot).enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{ \"triples\": {n}, \"open_ms\": {:.3}, \"materialize_ms\": {:.3}, \
+             \"compact_ms\": {:.3}, \"total_ms\": {:.3} }}{}",
+            p[0],
+            p[1],
+            p[2],
+            boot_total(p),
+            if i + 1 < boot.len() { "," } else { "" }
+        );
+    }
+    json.push_str("  ],\n");
+    let _ = writeln!(
+        json,
+        "  \"boot_scaling_time_ratio_16x_data\": {boot_time_ratio:.2}"
+    );
     json.push_str("}\n");
 
     let out = str_flag(&args, "--out").unwrap_or("BENCH_store.json");
@@ -307,4 +412,12 @@ fn main() {
 
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&dir2);
+
+    if boot_time_ratio >= 64.0 {
+        eprintln!(
+            "exp_store: boot scaling gate failed: 16x the data cost {boot_time_ratio:.1}x the \
+             time (must stay under 64x)"
+        );
+        std::process::exit(1);
+    }
 }

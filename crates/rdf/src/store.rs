@@ -17,8 +17,11 @@
 //! calls, range scans are contiguous slices, and prefix cardinalities
 //! (the planner's cost estimates) are exact subtractions of two binary
 //! searches. Point inserts splice into all six orderings (O(n) memmove
-//! each — fine for incremental use); bulk loads go through
-//! [`TripleStore::extend`], which appends and re-sorts once (O(n log n)).
+//! each — fine for incremental use); anything that touches more than a
+//! handful of triples goes through the bulk pair
+//! [`TripleStore::extend`] / [`TripleStore::remove_all`], which sort the
+//! batch once per ordering and weave it into (or cut it out of) the
+//! existing run with one block-move pass — O(b log b + b log n + n).
 
 use kgq_graph::{Interner, Sym};
 use std::ops::Range;
@@ -183,6 +186,18 @@ impl TripleStore {
         self.terms.get(s)
     }
 
+    /// Looks up a triple by its term strings without interning: `None`
+    /// if any of the three was never interned (such a triple cannot be
+    /// stored). The result may still be absent — ask
+    /// [`contains`](TripleStore::contains).
+    pub fn get_triple(&self, s: &str, p: &str, o: &str) -> Option<Triple> {
+        Some(Triple {
+            s: self.terms.get(s)?,
+            p: self.terms.get(p)?,
+            o: self.terms.get(o)?,
+        })
+    }
+
     /// Resolves a term to its string.
     pub fn term_str(&self, s: Sym) -> &str {
         self.terms.resolve(s)
@@ -231,9 +246,10 @@ impl TripleStore {
 
     /// Bulk insert: sorts the batch once per ordering (O(b log b)) and
     /// merges it into the existing sorted run with one backward pass
-    /// (O(b log n) membership probes + O(n + b) moves) — the base is
-    /// never re-sorted, so a big store absorbs a small batch without
-    /// paying O((n + b) log (n + b)). Returns how many triples were
+    /// (O(b log n) membership probes + O(n + b) block moves) — the base
+    /// is never re-sorted, so a big store absorbs a small batch without
+    /// paying O((n + b) log (n + b)). An empty ordering simply adopts
+    /// the sorted, deduped batch. Returns how many triples were
     /// actually new.
     pub fn extend(&mut self, triples: impl IntoIterator<Item = Triple>) -> usize {
         let before = self.orders[0].len();
@@ -243,13 +259,50 @@ impl TripleStore {
         }
         let mut keys: Vec<[Sym; 3]> = Vec::with_capacity(batch.len());
         for (slot, ord) in IndexOrder::ALL.iter().enumerate() {
-            keys.clear();
-            keys.extend(batch.iter().map(|&t| ord.key(t)));
-            keys.sort_unstable();
-            keys.dedup();
-            merge_into_sorted(&mut self.orders[slot], &keys);
+            sorted_keys(*ord, &batch, &mut keys);
+            if self.orders[slot].is_empty() {
+                std::mem::swap(&mut self.orders[slot], &mut keys);
+            } else {
+                merge_into_sorted(&mut self.orders[slot], &keys);
+            }
         }
         self.orders[0].len() - before
+    }
+
+    /// Bulk [`insert_strs`](TripleStore::insert_strs): interns every
+    /// triple's terms in slice order (subject, predicate, object —
+    /// exactly the `Sym` numbering a loop of `insert_strs` mints, terms
+    /// of duplicate triples included) and merges the batch with one
+    /// [`extend`](TripleStore::extend). Returns how many triples were
+    /// actually new.
+    pub fn extend_strs<S: AsRef<str>>(&mut self, triples: &[(S, S, S)]) -> usize {
+        let batch: Vec<Triple> = triples
+            .iter()
+            .map(|(s, p, o)| Triple {
+                s: self.terms.intern(s.as_ref()),
+                p: self.terms.intern(p.as_ref()),
+                o: self.terms.intern(o.as_ref()),
+            })
+            .collect();
+        self.extend(batch)
+    }
+
+    /// Bulk [`remove`](TripleStore::remove): sorts the batch once per
+    /// ordering, finds the doomed rows with galloping probes from a
+    /// monotone cursor (O(b log n)) and closes all the gaps in one
+    /// forward block-move pass, so a batch costs at most what a single
+    /// point removal's memmove does. Returns how many triples were
+    /// actually present (a triple named twice counts once, as it would
+    /// for a loop of `remove`).
+    pub fn remove_all(&mut self, triples: impl IntoIterator<Item = Triple>) -> usize {
+        let batch: Vec<Triple> = triples.into_iter().collect();
+        let mut removed = 0;
+        let mut keys: Vec<[Sym; 3]> = Vec::with_capacity(batch.len());
+        for (slot, ord) in IndexOrder::ALL.iter().enumerate() {
+            sorted_keys(*ord, &batch, &mut keys);
+            removed = remove_from_sorted(&mut self.orders[slot], &keys);
+        }
+        removed
     }
 
     /// Removes a triple. Returns `true` if it was present. Removal binary
@@ -351,36 +404,69 @@ impl TripleStore {
     }
 }
 
+/// Fills `keys` with `batch` permuted into `ord`'s key layout, sorted
+/// ascending and deduped.
+fn sorted_keys(ord: IndexOrder, batch: &[Triple], keys: &mut Vec<[Sym; 3]>) {
+    keys.clear();
+    keys.extend(batch.iter().map(|&t| ord.key(t)));
+    keys.sort_unstable();
+    keys.dedup();
+}
+
 /// Merges sorted, deduped `new` keys into the sorted, deduped `rows`,
-/// dropping keys already present. Membership is decided by galloping
-/// `partition_point` probes from a monotone cursor (O(b log n)); the
-/// surviving keys are then woven in with a single backward two-pointer
-/// pass over one `resize`d allocation, so no element moves twice.
+/// dropping keys already present. Membership and insertion points are
+/// decided by galloping `partition_point` probes from a monotone cursor
+/// (O(b log n)); the surviving keys are then woven in back to front
+/// over one `resize`d allocation, each run of old rows between two
+/// insertion points moving exactly once as a block.
 fn merge_into_sorted(rows: &mut Vec<[Sym; 3]>, new: &[[Sym; 3]]) {
-    let mut fresh: Vec<[Sym; 3]> = Vec::with_capacity(new.len());
+    // (insertion index into the old `rows`, key), ascending in both.
+    let mut fresh: Vec<(usize, [Sym; 3])> = Vec::with_capacity(new.len());
     let mut cursor = 0usize;
     for &k in new {
         cursor += rows[cursor..].partition_point(|r| *r < k);
         if cursor >= rows.len() || rows[cursor] != k {
-            fresh.push(k);
+            fresh.push((cursor, k));
         }
     }
-    if fresh.is_empty() {
+    let Some(&(_, filler)) = fresh.first() else {
         return;
+    };
+    let mut end = rows.len();
+    rows.resize(end + fresh.len(), filler);
+    // The j-th fresh key lands at `at + j`; the old rows `at..end`
+    // behind it shift right by `j + 1`.
+    for (j, &(at, k)) in fresh.iter().enumerate().rev() {
+        rows.copy_within(at..end, at + j + 1);
+        rows[at + j] = k;
+        end = at;
     }
-    let old = rows.len();
-    rows.resize(old + fresh.len(), fresh[0]);
-    let (mut i, mut j, mut w) = (old, fresh.len(), old + fresh.len());
-    while j > 0 {
-        if i > 0 && rows[i - 1] > fresh[j - 1] {
-            rows[w - 1] = rows[i - 1];
-            i -= 1;
-        } else {
-            rows[w - 1] = fresh[j - 1];
-            j -= 1;
+}
+
+/// Removes the sorted, deduped `dead` keys from the sorted, deduped
+/// `rows`; keys not present are ignored. Returns how many rows went.
+/// Same probe scheme as [`merge_into_sorted`]; the gaps are closed
+/// front to back, each surviving run moving exactly once as a block.
+fn remove_from_sorted(rows: &mut Vec<[Sym; 3]>, dead: &[[Sym; 3]]) -> usize {
+    let mut hits: Vec<usize> = Vec::with_capacity(dead.len());
+    let mut cursor = 0usize;
+    for &k in dead {
+        cursor += rows[cursor..].partition_point(|r| *r < k);
+        if cursor < rows.len() && rows[cursor] == k {
+            hits.push(cursor);
         }
-        w -= 1;
     }
+    let Some(&first) = hits.first() else {
+        return 0;
+    };
+    let mut write = first;
+    for (i, &hit) in hits.iter().enumerate() {
+        let next = hits.get(i + 1).copied().unwrap_or(rows.len());
+        rows.copy_within(hit + 1..next, write);
+        write += next - (hit + 1);
+    }
+    rows.truncate(write);
+    hits.len()
 }
 
 #[cfg(test)]

@@ -124,4 +124,53 @@ proptest! {
             prop_assert_eq!(&via, &oracle, "ordering {} diverged from the oracle", ord.name());
         }
     }
+
+    /// The bulk pair equals its point loops: `extend_strs` on an empty
+    /// store, a second `extend` merging into it, then `remove_all` —
+    /// each against `insert_strs` / `insert` / `remove` one triple at a
+    /// time, return counts, `Sym` numbering and all six orderings
+    /// included. Batches carry in-batch duplicates, already-present
+    /// triples (for `extend`) and absent ones (for `remove_all`).
+    #[test]
+    fn bulk_extend_and_remove_all_equal_their_point_loops(
+        load in proptest::collection::vec((0..TERMS, 0..TERMS, 0..TERMS), 0..60),
+        more in proptest::collection::vec((0..TERMS, 0..TERMS, 0..TERMS), 0..30),
+        gone in proptest::collection::vec((0..TERMS + 2, 0..TERMS, 0..TERMS), 0..60),
+    ) {
+        let names = |v: &[(usize, usize, usize)]| -> Vec<(String, String, String)> {
+            v.iter().map(|&(s, p, o)| (format!("t{s}"), format!("t{p}"), format!("t{o}"))).collect()
+        };
+        let same = |bulk: &TripleStore, point: &TripleStore| -> proptest::test_runner::TestCaseResult {
+            prop_assert_eq!(bulk.terms().len(), point.terms().len());
+            for ord in IndexOrder::ALL {
+                prop_assert_eq!(bulk.order(ord), point.order(ord), "ordering {}", ord.name());
+                prop_assert!(bulk.order(ord).windows(2).all(|w| w[0] < w[1]));
+            }
+            Ok(())
+        };
+        let (load, more, gone) = (names(&load), names(&more), names(&gone));
+        let (mut bulk, mut point) = (TripleStore::new(), TripleStore::new());
+
+        // Empty-store fast path.
+        let added = bulk.extend_strs(&load);
+        let want = load.iter().filter(|(s, p, o)| point.insert_strs(s, p, o)).count();
+        prop_assert_eq!(added, want);
+        same(&bulk, &point)?;
+
+        // Merge into a non-empty store.
+        let added = bulk.extend_strs(&more);
+        let want = more.iter().filter(|(s, p, o)| point.insert_strs(s, p, o)).count();
+        prop_assert_eq!(added, want);
+        same(&bulk, &point)?;
+
+        // Removal; terms the store never interned name nothing.
+        let doomed: Vec<Triple> = gone
+            .iter()
+            .filter_map(|(s, p, o)| bulk.get_triple(s, p, o))
+            .collect();
+        let removed = bulk.remove_all(doomed.iter().copied());
+        let want = doomed.iter().filter(|&&t| point.remove(t)).count();
+        prop_assert_eq!(removed, want);
+        same(&bulk, &point)?;
+    }
 }

@@ -428,7 +428,7 @@ impl Snapshot {
         {
             // Unique, stable edge ids: continue the committed sequence.
             let next_seq = match durable.as_deref() {
-                Some(d) => d.all_edges().count(),
+                Some(d) => d.edge_count(),
                 None => self.graph_read().edge_count(),
             };
             for (i, (src, label, dst, src_label, dst_label)) in edge_specs.into_iter().enumerate() {
@@ -456,12 +456,7 @@ impl Snapshot {
         let mut g = self.graph_write();
         let applied_edges = apply_edges(&mut g, edges.iter());
         let mut st = self.store_write();
-        let mut applied_triples = 0;
-        for (s, p, o) in &triples {
-            if st.insert_strs(s, p, o) {
-                applied_triples += 1;
-            }
-        }
+        let applied_triples = st.extend_strs(&triples);
         g.touch();
         let body = format!(
             "inserted {applied_triples} triple(s), {applied_edges} edge(s)\ngeneration {}\n",
@@ -489,15 +484,12 @@ impl Snapshot {
         }
         let mut g = self.graph_write();
         let mut st = self.store_write();
-        let mut removed = 0;
-        for (s, p, o) in &triples {
-            let t = (st.get_term(s), st.get_term(p), st.get_term(o));
-            if let (Some(s), Some(p), Some(o)) = t {
-                if st.remove(kgq_rdf::Triple { s, p, o }) {
-                    removed += 1;
-                }
-            }
-        }
+        // A term the store never interned names no triple.
+        let doomed: Vec<kgq_rdf::Triple> = triples
+            .iter()
+            .filter_map(|(s, p, o)| st.get_triple(s, p, o))
+            .collect();
+        let removed = st.remove_all(doomed);
         g.touch();
         let body = format!(
             "deleted {removed} triple(s)\ngeneration {}\n",

@@ -87,6 +87,74 @@ fn insert_count_delete_count_round_trip_over_tcp() {
 /// The satellite regression: a cached query's answer must change after
 /// an INSERT commits. A stale generation stamp would keep serving the
 /// old compiled result; the bump makes the old cache entry unreachable.
+/// The live store takes a committed batch through the bulk
+/// `extend_strs` / `remove_all` pair; the acknowledged counts must be
+/// the ones a point loop over the same lines would have produced, with
+/// in-batch duplicates, already-present triples, absent triples and
+/// never-interned terms all in the batch.
+#[test]
+fn hundred_op_batches_report_the_point_loop_counts() {
+    let handle = serve(PropertyGraph::new(), TripleStore::new(), config()).expect("bind");
+    let mut c = connect(&handle);
+    let mut oracle = TripleStore::new();
+    assert!(
+        c.insert("<n0> <knows> <n1> .\n<n2> <knows> <n3> .")
+            .unwrap()
+            .ok
+    );
+    oracle.insert_strs("n0", "knows", "n1");
+    oracle.insert_strs("n2", "knows", "n3");
+
+    // 100 lines over 60 distinct triples, two of them already stored.
+    let line = |i: usize| (format!("n{}", i % 60), format!("n{}", i % 60 + 1));
+    let batch: String = (0..100)
+        .map(|i| format!("<{}> <knows> <{}> .\n", line(i).0, line(i).1))
+        .collect();
+    let want = (0..100)
+        .filter(|&i| oracle.insert_strs(&line(i).0, "knows", &line(i).1))
+        .count();
+    assert_eq!(want, 58);
+    let ins = c.insert(&batch).unwrap();
+    assert!(ins.ok, "{}", ins.body);
+    assert!(
+        ins.body
+            .starts_with(&format!("inserted {want} triple(s), 0 edge(s)\n")),
+        "{}",
+        ins.body
+    );
+
+    // 100 lines: 24 stored triples (each named twice or more), absent
+    // triples over known terms, and terms the store never interned.
+    let victim = |i: usize| match i % 5 {
+        3 => (format!("n{}", i % 60), format!("n{}", i % 60 + 7)),
+        4 => (format!("ghost{i}"), "n1".to_owned()),
+        _ => (format!("n{}", i % 40), format!("n{}", i % 40 + 1)),
+    };
+    let batch: String = (0..100)
+        .map(|i| format!("<{}> <knows> <{}> .\n", victim(i).0, victim(i).1))
+        .collect();
+    let want = (0..100)
+        .filter(|&i| {
+            let (s, o) = victim(i);
+            oracle
+                .get_triple(&s, "knows", &o)
+                .is_some_and(|t| oracle.remove(t))
+        })
+        .count();
+    assert_eq!(want, 24);
+    let del = c.delete(&batch).unwrap();
+    assert!(del.ok, "{}", del.body);
+    assert!(
+        del.body.starts_with(&format!("deleted {want} triple(s)\n")),
+        "{}",
+        del.body
+    );
+    let rows = c.sparql(KNOWS, &Caps::none()).unwrap();
+    assert_eq!(rows.body.lines().count(), oracle.len(), "{}", rows.body);
+    drop(c);
+    handle.shutdown();
+}
+
 #[test]
 fn cached_query_invalidates_after_insert() {
     let handle = serve(PropertyGraph::new(), TripleStore::new(), config()).expect("bind");

@@ -3,7 +3,7 @@
 use kgq_core::Budget;
 use kgq_graph::generate::{contact_network, ContactParams};
 use kgq_rdf::parse_ntriples;
-use kgq_serve::{process_thread_count, serve, stat, Caps, Client, ServerConfig};
+use kgq_serve::{serve, stat, Caps, Client, ServerConfig};
 use std::time::Duration;
 
 const NT: &str = "<a> <knows> <b> .\n<b> <knows> <c> .\n<c> <knows> <a> .\n\
@@ -34,22 +34,6 @@ fn connect(handle: &kgq_serve::ServerHandle) -> Client {
     let c = Client::connect(handle.addr()).expect("connect");
     c.set_timeout(Some(Duration::from_secs(60))).unwrap();
     c
-}
-
-#[test]
-fn ping_stats_and_clean_shutdown_without_leaked_threads() {
-    let before = process_thread_count().expect("procfs");
-    let handle = boot(Budget::unlimited(), 3);
-    let mut c = connect(&handle);
-    assert!(c.ping().unwrap());
-    let stats = c.stats().unwrap();
-    assert_eq!(stat(&stats, "workers"), Some(3));
-    assert!(stat(&stats, "requests").unwrap() >= 1);
-    drop(c);
-    handle.shutdown();
-    // Every spawned thread (accept, workers, readers) is joined.
-    let after = process_thread_count().expect("procfs");
-    assert_eq!(after, before, "threads leaked across server lifetime");
 }
 
 #[test]

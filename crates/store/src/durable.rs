@@ -76,10 +76,10 @@ impl DurableStore {
             Segment::default()
         };
         let (wal, replay) = Wal::open(&dir.join(WAL_FILE), seg.generation)?;
+        // Terms are interned in file order; the six orderings are then
+        // built by one bulk sort apiece, not a splice per triple.
         let mut base = TripleStore::new();
-        for (s, p, o) in &seg.triples {
-            base.insert_strs(s, p, o);
-        }
+        base.extend_strs(&seg.triples);
         let mut store = DurableStore {
             dir: dir.to_path_buf(),
             wal,
@@ -94,24 +94,24 @@ impl DurableStore {
         store.base_edges = seg.edges;
         for (generation, ops) in &replay.batches {
             for op in ops {
-                store.apply(op.clone());
+                store.apply(op);
             }
             store.generation = *generation;
         }
         Ok((store, replay))
     }
 
-    fn apply(&mut self, op: StoreOp) {
+    fn apply(&mut self, op: &StoreOp) {
         match op {
             StoreOp::Insert { s, p, o } => {
-                self.overlay.insert(&self.base, &s, &p, &o);
+                self.overlay.insert(&self.base, s, p, o);
             }
             StoreOp::Delete { s, p, o } => {
-                self.overlay.delete(&self.base, &s, &p, &o);
+                self.overlay.delete(&self.base, s, p, o);
             }
             StoreOp::EdgeAdd(e) => {
                 if self.edge_ids.insert(e.id.clone()) {
-                    self.edges.push(e);
+                    self.edges.push(e.clone());
                 }
             }
         }
@@ -158,7 +158,7 @@ impl DurableStore {
         let next = self.generation + 1;
         let ops = std::mem::take(&mut self.pending);
         self.wal.append_batch(&ops, next)?;
-        for op in ops {
+        for op in &ops {
             self.apply(op);
         }
         self.generation = next;
@@ -255,6 +255,12 @@ impl DurableStore {
         self.base_edges.iter().chain(self.edges.iter())
     }
 
+    /// Number of committed edge records — [`all_edges`](Self::all_edges)
+    /// counted in O(1).
+    pub fn edge_count(&self) -> usize {
+        self.base_edges.len() + self.edges.len()
+    }
+
     /// Compacts: folds the overlay and uncompacted edges into a fresh
     /// segment written atomically, then truncates the WAL. A crash
     /// anywhere in between recovers to the same committed state (see
@@ -262,31 +268,26 @@ impl DurableStore {
     /// has been committed since the last compaction.
     pub fn compact(&mut self) -> std::io::Result<()> {
         let merged = self.materialize();
-        let triples: Vec<StrTriple> = merged
-            .iter()
-            .map(|t| {
+        // Encode straight from the merged store and the edge slices.
+        // Derived data: a packed image reflects an older base, so
+        // compaction drops it; the scale pipeline regenerates it.
+        let image = segment::encode_parts(
+            self.generation,
+            merged.iter().map(|t| {
                 (
-                    merged.term_str(t.s).to_owned(),
-                    merged.term_str(t.p).to_owned(),
-                    merged.term_str(t.o).to_owned(),
+                    merged.term_str(t.s),
+                    merged.term_str(t.p),
+                    merged.term_str(t.o),
                 )
-            })
-            .collect();
-        let edges: Vec<EdgeRec> = self.all_edges().cloned().collect();
-        let seg = Segment {
-            generation: self.generation,
-            triples,
-            edges,
-            // Derived data: a packed image reflects an older base, so
-            // compaction drops it; the scale pipeline regenerates it.
-            packed: None,
-        };
-        segment::write_atomic(&self.dir.join(SEGMENT_FILE), &seg)?;
+            }),
+            self.all_edges(),
+            None,
+        );
+        segment::write_image_atomic(&self.dir.join(SEGMENT_FILE), &image)?;
         // The segment is durable; the log's batches are now redundant.
         self.wal.reset()?;
         self.base = merged;
-        self.base_edges = seg.edges;
-        self.edges.clear();
+        self.base_edges.append(&mut self.edges);
         self.overlay.clear();
         Ok(())
     }

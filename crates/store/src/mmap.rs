@@ -21,7 +21,6 @@
 //! build carries no libc-binding crate, and on every supported unix
 //! the two symbols live in the C library the binary already links.
 
-use crate::crc::crc32;
 use crate::io_fault;
 use crate::segment::{self, Segment, SEG_MAGIC};
 use crate::wal::IoFault;
@@ -191,19 +190,7 @@ impl SegmentMap {
             visible = visible.min(n);
         }
         let bytes = &inner.bytes()[..visible];
-        if bytes.len() < SEG_MAGIC.len() + 4 || &bytes[..SEG_MAGIC.len()] != SEG_MAGIC {
-            return Err(data_err("not a kgq segment (bad magic)".into()));
-        }
-        let payload = &bytes[SEG_MAGIC.len()..bytes.len() - 4];
-        let stored = u32::from_le_bytes([
-            bytes[bytes.len() - 4],
-            bytes[bytes.len() - 3],
-            bytes[bytes.len() - 2],
-            bytes[bytes.len() - 1],
-        ]);
-        if crc32(payload) != stored {
-            return Err(data_err("segment checksum mismatch".into()));
-        }
+        let payload = segment::verified_payload(bytes)?;
         // Walk the variable-length sections to find the packed image.
         // This touches the same pages the CRC just warmed.
         let mut off = 0usize;
@@ -277,9 +264,11 @@ impl SegmentMap {
 
     /// Fully decodes the string sections into an owned [`Segment`]
     /// (the packed image is copied too). Used by recovery, which needs
-    /// owned triples to build the in-memory base store.
+    /// owned triples to build the in-memory base store. The checksum is
+    /// not swept again: [`SegmentMap::open`] verified these very bytes.
     pub fn to_segment(&self) -> std::io::Result<Segment> {
-        segment::decode(self.inner.bytes())
+        let bytes = self.inner.bytes();
+        segment::decode_payload(&bytes[SEG_MAGIC.len()..bytes.len() - 4])
     }
 }
 

@@ -20,7 +20,8 @@
 //! the same overlay, which is what makes recovery after a crash in the
 //! middle of compaction safe.
 
-use kgq_rdf::TripleStore;
+use kgq_graph::Sym;
+use kgq_rdf::{Triple, TripleStore};
 use std::collections::BTreeSet;
 
 /// A triple as term strings, the overlay's key type. (The base store
@@ -114,22 +115,51 @@ impl DeltaOverlay {
     /// Folds the overlay into a fresh [`TripleStore`] holding exactly
     /// the merged view, leaving the overlay untouched (compaction only
     /// clears it after the segment is durably on disk).
+    ///
+    /// One bulk pass: the tombstones are resolved to base `Sym` keys
+    /// once and walked alongside the base's SPO run with a monotone
+    /// cursor, each surviving base term is re-interned the first time
+    /// it is met (a `Sym → Sym` table, no string built per triple), the
+    /// added triples follow in their sorted order, and the fresh store
+    /// is built by a single [`TripleStore::extend`]. The interning
+    /// order — surviving base triples in SPO order, then `added` — is
+    /// what fixes the merged store's `Sym` numbering and with it the
+    /// byte layout of the next segment.
     pub fn materialize(&self, base: &TripleStore) -> TripleStore {
+        let mut dead: Vec<Triple> = self
+            .tombstoned
+            .iter()
+            .filter_map(|(s, p, o)| base.get_triple(s, p, o))
+            .collect();
+        dead.sort_unstable();
         let mut merged = TripleStore::new();
+        let mut remap: Vec<Option<Sym>> = vec![None; base.terms().len()];
+        let mut carry = |merged: &mut TripleStore, old: Sym| -> Sym {
+            *remap[old.index()].get_or_insert_with(|| merged.term(base.term_str(old)))
+        };
+        let mut batch: Vec<Triple> = Vec::with_capacity(self.merged_len(base));
+        let mut cursor = 0usize;
         for t in base.iter() {
-            let s = base.term_str(t.s);
-            let p = base.term_str(t.p);
-            let o = base.term_str(t.o);
-            if !self
-                .tombstoned
-                .contains(&(s.to_owned(), p.to_owned(), o.to_owned()))
-            {
-                merged.insert_strs(s, p, o);
+            while cursor < dead.len() && dead[cursor] < t {
+                cursor += 1;
             }
+            if cursor < dead.len() && dead[cursor] == t {
+                continue;
+            }
+            batch.push(Triple {
+                s: carry(&mut merged, t.s),
+                p: carry(&mut merged, t.p),
+                o: carry(&mut merged, t.o),
+            });
         }
         for (s, p, o) in &self.added {
-            merged.insert_strs(s, p, o);
+            batch.push(Triple {
+                s: merged.term(s),
+                p: merged.term(p),
+                o: merged.term(o),
+            });
         }
+        merged.extend(batch);
         merged
     }
 
@@ -158,10 +188,7 @@ impl DeltaOverlay {
 }
 
 fn base_contains(base: &TripleStore, s: &str, p: &str, o: &str) -> bool {
-    let (Some(s), Some(p), Some(o)) = (base.get_term(s), base.get_term(p), base.get_term(o)) else {
-        return false;
-    };
-    base.contains(kgq_rdf::Triple { s, p, o })
+    base.get_triple(s, p, o).is_some_and(|t| base.contains(t))
 }
 
 #[cfg(test)]

@@ -55,27 +55,51 @@ fn push_str(buf: &mut Vec<u8>, s: &str) {
 
 /// Encodes the segment to its full file image (magic + payload + CRC).
 pub fn encode(seg: &Segment) -> Vec<u8> {
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&seg.generation.to_le_bytes());
-    payload.extend_from_slice(&(seg.triples.len() as u32).to_le_bytes());
-    payload.extend_from_slice(&(seg.edges.len() as u32).to_le_bytes());
-    for (s, p, o) in &seg.triples {
-        push_str(&mut payload, s);
-        push_str(&mut payload, p);
-        push_str(&mut payload, o);
-    }
-    for e in &seg.edges {
-        for part in [&e.id, &e.src, &e.src_label, &e.label, &e.dst, &e.dst_label] {
-            push_str(&mut payload, part);
-        }
-    }
-    if let Some(packed) = &seg.packed {
-        payload.extend_from_slice(&(packed.len() as u32).to_le_bytes());
-        payload.extend_from_slice(packed);
-    }
+    encode_parts(
+        seg.generation,
+        seg.triples
+            .iter()
+            .map(|(s, p, o)| (s.as_str(), p.as_str(), o.as_str())),
+        &seg.edges,
+        seg.packed.as_deref(),
+    )
+}
+
+/// [`encode`] over borrowed parts, so compaction can stream the merged
+/// store's terms and the live edge records into the image without
+/// first cloning them into an owned [`Segment`]. The counts in the
+/// header are patched in once the iterators are drained.
+pub(crate) fn encode_parts<'a>(
+    generation: u64,
+    triples: impl IntoIterator<Item = (&'a str, &'a str, &'a str)>,
+    edges: impl IntoIterator<Item = &'a EdgeRec>,
+    packed: Option<&[u8]>,
+) -> Vec<u8> {
     let mut image = SEG_MAGIC.to_vec();
-    image.extend_from_slice(&payload);
-    image.extend_from_slice(&crc32(&payload).to_le_bytes());
+    image.extend_from_slice(&generation.to_le_bytes());
+    let counts_at = image.len();
+    image.extend_from_slice(&[0u8; 8]);
+    let (mut n_triples, mut n_edges) = (0u32, 0u32);
+    for (s, p, o) in triples {
+        push_str(&mut image, s);
+        push_str(&mut image, p);
+        push_str(&mut image, o);
+        n_triples += 1;
+    }
+    for e in edges {
+        for part in [&e.id, &e.src, &e.src_label, &e.label, &e.dst, &e.dst_label] {
+            push_str(&mut image, part);
+        }
+        n_edges += 1;
+    }
+    image[counts_at..counts_at + 4].copy_from_slice(&n_triples.to_le_bytes());
+    image[counts_at + 4..counts_at + 8].copy_from_slice(&n_edges.to_le_bytes());
+    if let Some(packed) = packed {
+        image.extend_from_slice(&(packed.len() as u32).to_le_bytes());
+        image.extend_from_slice(packed);
+    }
+    let crc = crc32(&image[SEG_MAGIC.len()..]);
+    image.extend_from_slice(&crc.to_le_bytes());
     image
 }
 
@@ -103,23 +127,30 @@ fn take_str(rest: &mut &[u8]) -> std::io::Result<String> {
     String::from_utf8(bytes.to_vec()).map_err(|_| data_err("segment term is not UTF-8".into()))
 }
 
+/// Checks magic and the whole-payload CRC of a segment file image and
+/// returns the payload between them — the one place a segment's
+/// checksum is swept, whether the bytes were read or mapped.
+pub(crate) fn verified_payload(image: &[u8]) -> std::io::Result<&[u8]> {
+    if image.len() < SEG_MAGIC.len() + 4 || &image[..SEG_MAGIC.len()] != SEG_MAGIC {
+        return Err(data_err("not a kgq segment (bad magic)".into()));
+    }
+    let (payload, crc) = image[SEG_MAGIC.len()..].split_at(image.len() - SEG_MAGIC.len() - 4);
+    let stored = u32::from_le_bytes([crc[0], crc[1], crc[2], crc[3]]);
+    if crc32(payload) != stored {
+        return Err(data_err("segment checksum mismatch".into()));
+    }
+    Ok(payload)
+}
+
 /// Decodes a segment file image. Any structural defect — bad magic,
 /// bad CRC, truncated strings, trailing bytes — is an error, because
 /// atomic replacement means a valid store never exposes a torn segment.
 pub fn decode(image: &[u8]) -> std::io::Result<Segment> {
-    if image.len() < SEG_MAGIC.len() + 4 || &image[..SEG_MAGIC.len()] != SEG_MAGIC {
-        return Err(data_err("not a kgq segment (bad magic)".into()));
-    }
-    let payload = &image[SEG_MAGIC.len()..image.len() - 4];
-    let stored = u32::from_le_bytes([
-        image[image.len() - 4],
-        image[image.len() - 3],
-        image[image.len() - 2],
-        image[image.len() - 1],
-    ]);
-    if crc32(payload) != stored {
-        return Err(data_err("segment checksum mismatch".into()));
-    }
+    decode_payload(verified_payload(image)?)
+}
+
+/// Decodes a payload [`verified_payload`] already vouched for.
+pub(crate) fn decode_payload(payload: &[u8]) -> std::io::Result<Segment> {
     let mut rest = payload;
     let generation = {
         let b = take(&mut rest, 8)?;
@@ -169,7 +200,11 @@ pub fn decode(image: &[u8]) -> std::io::Result<Segment> {
 /// Injected fault site `segment::write` can tear the tmp-file write or
 /// crash after N bytes — both leave `path` untouched.
 pub fn write_atomic(path: &Path, seg: &Segment) -> std::io::Result<()> {
-    let image = encode(seg);
+    write_image_atomic(path, &encode(seg))
+}
+
+/// [`write_atomic`] for an already encoded file image.
+pub(crate) fn write_image_atomic(path: &Path, image: &[u8]) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = std::fs::File::create(&tmp)?;
@@ -190,14 +225,14 @@ pub fn write_atomic(path: &Path, seg: &Segment) -> std::io::Result<()> {
                 panic!("injected crash at segment::write after {n} bytes");
             }
             Some(IoFault::Fsync) => {
-                f.write_all(&image)?;
+                f.write_all(image)?;
                 return Err(std::io::Error::other(
                     "injected fsync failure at segment::write",
                 ));
             }
             _ => {}
         }
-        f.write_all(&image)?;
+        f.write_all(image)?;
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;

@@ -629,7 +629,7 @@ fn cmd_store(args: &[String]) -> Result<String, String> {
                 "compacted {dir} at generation {} ({} triples, {} edges); wal {} bytes\n",
                 store.generation(),
                 store.len(),
-                store.all_edges().count(),
+                store.edge_count(),
                 store.wal_len()
             ))
         }
@@ -686,15 +686,15 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
                     replay.uncommitted_ops
                 );
             }
-            for (s, p, o) in durable.scan_all() {
-                st.insert_strs(&s, &p, &o);
-            }
+            // One bulk merge into whatever `--nt` loaded, terms interned
+            // in the merged view's sorted order.
+            st.extend_strs(&durable.scan_all());
             kgq_serve::apply_edges(&mut g, durable.all_edges());
             eprintln!(
                 "kgq serve: {dir}: recovered generation {} ({} triples, {} edges)",
                 durable.generation(),
                 durable.len(),
-                durable.all_edges().count()
+                durable.edge_count()
             );
             Some(durable)
         }
