@@ -166,8 +166,8 @@ pub enum Position {
     Edge,
 }
 
-/// The evaluation strategy the analyzer recommends; consulted by
-/// [`crate::eval::Evaluator::pairs_planned`].
+/// The evaluation strategy the analyzer recommends, shown in the
+/// `--explain` verdict table (every plan yields identical answers).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PlanAdvice {
     /// Fused sequential product scan: small graphs or tiny products,

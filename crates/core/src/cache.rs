@@ -38,7 +38,6 @@
 //! store mutation (which bumps the generation) can never leak a stale
 //! product to a reader of the new snapshot.
 
-use crate::analyze::Report;
 use crate::automata::{MinimizedNfa, Nfa, NfaSignature};
 use crate::eval::Evaluator;
 use crate::expr::PathExpr;
@@ -126,11 +125,8 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries dropped to stay within capacity.
     pub evictions: u64,
-    /// Lookups the static analyzer resolved without a cache slot: a
-    /// provably-empty query answered with no compilation at all, a
-    /// `Deny`-flagged query compiled but deliberately not inserted, or a
-    /// detached compile requested by the caller (see
-    /// [`QueryCache::compile_detached`]).
+    /// Queries the static analyzer proved empty, answered with no
+    /// compilation at all (see [`QueryCache::note_short_circuit`]).
     pub short_circuits: u64,
     /// Compiled queries currently held.
     pub len: usize,
@@ -301,66 +297,6 @@ impl QueryCache {
         Ok(self.insert_if_absent(key, compiled))
     }
 
-    /// Analyzer-aware [`QueryCache::get_or_compile`]: consults a static
-    /// analysis [`Report`] first so doomed queries never occupy a slot.
-    ///
-    /// * Provably-empty queries return `None` without compiling anything
-    ///   (the caller answers with an empty result instantly).
-    /// * `Deny`-flagged queries (e.g. determinization blowup) compile but
-    ///   are **not** inserted — an oversized product must not evict
-    ///   healthy entries.
-    /// * Everything else goes through [`QueryCache::get_or_compile`].
-    ///
-    /// The first two paths increment the `short_circuits` statistic
-    /// reported by [`QueryCache::stats`] (and by the CLI under
-    /// `--verbose`).
-    pub fn get_or_compile_checked<G: PathGraph>(
-        &self,
-        g: &G,
-        generation: u64,
-        expr: &PathExpr,
-        report: &Report,
-    ) -> Option<Arc<CompiledQuery>> {
-        if report.is_provably_empty() {
-            self.inner().short_circuits += 1;
-            return None;
-        }
-        if report.denied() {
-            return Some(self.compile_detached(g, expr));
-        }
-        Some(self.get_or_compile(g, generation, expr))
-    }
-
-    /// Compiles `expr` without consulting or populating the map. Used
-    /// when an entry must not occupy a slot: analyzer-denied blowups,
-    /// and server queries whose constants were interned *after* the
-    /// shared snapshot was frozen (their symbol ids are request-local,
-    /// so a cache keyed on them could collide across requests). Counted
-    /// under `short_circuits`.
-    pub fn compile_detached<G: PathGraph>(&self, g: &G, expr: &PathExpr) -> Arc<CompiledQuery> {
-        self.inner().short_circuits += 1;
-        let expr = simplify(expr);
-        let min = Nfa::compile_min(&expr);
-        Arc::new(CompiledQuery::compile(g, expr, min))
-    }
-
-    /// Governed [`QueryCache::compile_detached`]: same no-slot contract,
-    /// with compilation under `gov` and panics isolated.
-    pub fn compile_detached_governed<G: PathGraph>(
-        &self,
-        g: &G,
-        expr: &PathExpr,
-        gov: &Governor,
-    ) -> Result<Arc<CompiledQuery>, EvalError> {
-        self.inner().short_circuits += 1;
-        let expr = simplify(expr);
-        let min = Nfa::compile_min(&expr);
-        Ok(Arc::new(isolate(|| {
-            fault_point!("cache::compile");
-            CompiledQuery::compile_governed(g, expr, min, gov)
-        })?))
-    }
-
     /// The lookup half: under the lock, touch + count a hit, or count a
     /// miss and return `None` (the caller compiles outside the lock).
     fn lookup(&self, key: &CacheKey) -> Option<Arc<CompiledQuery>> {
@@ -454,16 +390,14 @@ impl QueryCache {
         self.inner().evictions
     }
 
-    /// Lookups resolved without occupying a cache slot (see
-    /// [`QueryCache::get_or_compile_checked`] and
-    /// [`QueryCache::compile_detached`]).
+    /// Analyzer short-circuits recorded by
+    /// [`QueryCache::note_short_circuit`].
     pub fn short_circuits(&self) -> u64 {
         self.inner().short_circuits
     }
 
-    /// Records an analyzer short-circuit that happened outside the cache
-    /// (e.g. a Cypher query proven empty before any pattern compiled), so
-    /// `--verbose` statistics account for it.
+    /// Records that a caller answered a provably-empty query without
+    /// compiling anything, so `--verbose` and `STATS` account for it.
     pub fn note_short_circuit(&self) {
         self.inner().short_circuits += 1;
     }
@@ -637,87 +571,6 @@ mod tests {
             .get_or_compile_governed(&view, 0, &e1, &Governor::unlimited())
             .unwrap();
         assert_eq!(ok.evaluator().pairs(), Evaluator::new(&view, &e1).pairs());
-    }
-
-    #[test]
-    fn analyzer_short_circuits_keep_slots_free() {
-        use crate::analyze::analyze_expr;
-        use kgq_graph::SchemaSummary;
-        let mut g = gnm_labeled(12, 30, &["a", "b"], &["p", "q"], 3);
-        let dead = parse_expr("ghost/p", g.consts_mut()).unwrap();
-        let live = parse_expr("p/q", g.consts_mut()).unwrap();
-        let schema = SchemaSummary::from_labeled(&g);
-        let view = LabeledView::new(&g);
-        let cache = QueryCache::new();
-
-        let dead_report = analyze_expr(&dead, &schema, None);
-        assert!(dead_report.is_provably_empty());
-        assert!(cache
-            .get_or_compile_checked(&view, 0, &dead, &dead_report)
-            .is_none());
-        // Nothing compiled, nothing cached, the short-circuit counted.
-        assert!(cache.is_empty());
-        assert_eq!((cache.hits(), cache.misses()), (0, 0));
-        assert_eq!(cache.short_circuits(), 1);
-
-        let live_report = analyze_expr(&live, &schema, None);
-        assert!(!live_report.denied());
-        let c = cache
-            .get_or_compile_checked(&view, 0, &live, &live_report)
-            .expect("live query compiles");
-        assert_eq!(cache.len(), 1);
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        // The live entry behaves as a normal cached hit afterwards.
-        let again = cache
-            .get_or_compile_checked(&view, 0, &live, &live_report)
-            .expect("cached");
-        assert!(Arc::ptr_eq(c.product(), again.product()));
-        assert_eq!(cache.hits(), 1);
-        let stats = cache.stats();
-        assert_eq!(stats.short_circuits, 1);
-        assert!(stats.to_string().contains("short_circuits=1"));
-    }
-
-    #[test]
-    fn deny_flagged_queries_compile_but_are_not_cached() {
-        use crate::analyze::analyze_expr;
-        use kgq_graph::SchemaSummary;
-        let mut g = gnm_labeled(20, 80, &["v"], &["p", "q"], 3);
-        let text = "(p+q)*/p".to_string() + &"/(p+q)".repeat(13);
-        let blowup = parse_expr(&text, g.consts_mut()).unwrap();
-        let schema = SchemaSummary::from_labeled(&g);
-        let report = analyze_expr(&blowup, &schema, None);
-        assert!(report.denied() && !report.is_provably_empty());
-        let view = LabeledView::new(&g);
-        let cache = QueryCache::new();
-        let compiled = cache
-            .get_or_compile_checked(&view, 0, &blowup, &report)
-            .expect("denied queries still compile");
-        // Compiled and usable, but no slot occupied.
-        assert!(!compiled.evaluator().pairs().is_empty());
-        assert!(cache.is_empty());
-        assert_eq!(cache.short_circuits(), 1);
-    }
-
-    #[test]
-    fn detached_compiles_never_occupy_a_slot() {
-        let (g, e1, _) = setup();
-        let view = LabeledView::new(&g);
-        let cache = QueryCache::new();
-        let detached = cache.compile_detached(&view, &e1);
-        assert!(cache.is_empty());
-        assert_eq!(cache.short_circuits(), 1);
-        let governed = cache
-            .compile_detached_governed(&view, &e1, &Governor::unlimited())
-            .unwrap();
-        assert!(cache.is_empty());
-        assert_eq!(cache.short_circuits(), 2);
-        // Both produce working, agreeing evaluators.
-        assert_eq!(detached.evaluator().pairs(), governed.evaluator().pairs());
-        // And a later cached compile is unaffected by the detached ones.
-        let cached = cache.get_or_compile(&view, 0, &e1);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cached.evaluator().pairs(), detached.evaluator().pairs());
     }
 
     #[test]

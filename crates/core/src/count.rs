@@ -253,28 +253,24 @@ pub fn count_paths_governed<G: PathGraph + Sync>(
         g,
         expr,
         k,
-        budget,
-        cancel,
+        &Governor::with_cancel(budget, cancel),
         &crate::approx::ApproxParams::default(),
     )
 }
 
-/// [`count_paths_governed`] with explicit FPRAS parameters for the
-/// fallback rung (fewer trials trade accuracy for a smaller footprint,
-/// letting the approximation fit tighter leftover budgets).
+/// [`count_paths_governed`] against a caller-built governor (its step
+/// limit is the ladder's *total*; counters are kept on per-rung
+/// successors) and with explicit FPRAS parameters for the fallback rung
+/// (fewer trials trade accuracy for a smaller footprint, letting the
+/// approximation fit tighter leftover budgets).
 pub fn count_paths_governed_with<G: PathGraph + Sync>(
     g: &G,
     expr: &PathExpr,
     k: usize,
-    budget: &Budget,
-    cancel: CancelToken,
+    total: &Governor,
     params: &crate::approx::ApproxParams,
 ) -> Result<Governed<CountOutcome>, EvalError> {
-    let stage1 = Budget {
-        max_steps: budget.max_steps.map(|s| s / 2),
-        ..budget.clone()
-    };
-    let gov = Governor::with_cancel(&stage1, cancel);
+    let gov = total.successor_with_steps(total.step_limit() / 2);
     let nfa = Nfa::compile_min(expr).nfa;
     let exact = crate::govern::isolate_eval(|| {
         DetProduct::build_governed(g, &nfa, &gov)
@@ -295,8 +291,7 @@ pub fn count_paths_governed_with<G: PathGraph + Sync>(
     // Degrade: FPRAS under the unspent part of the *total* step budget,
     // against the same deadline instant (sticky trips force a fresh
     // governor rather than reusing the tripped one).
-    let remaining = budget.max_steps.map(|s| s.saturating_sub(gov.steps_used()));
-    let gov2 = gov.successor_with_steps(remaining.unwrap_or(u64::MAX));
+    let gov2 = gov.successor_with_steps(total.step_limit().saturating_sub(gov.steps_used()));
     let estimate = crate::govern::isolate_eval(|| {
         crate::approx::approx_count_governed_with(g, expr, k, params, &gov2)
     })?;
@@ -305,40 +300,6 @@ pub fn count_paths_governed_with<G: PathGraph + Sync>(
         completion: crate::govern::Completion::Complete,
         degraded: true,
     })
-}
-
-/// Analyzer-routed counting: consults a static-analysis [`Report`]
-/// before doing any work.
-///
-/// * A provably-empty query answers `Exact(0)` instantly — no
-///   determinization, no product, no DP.
-/// * A `Deny` finding for exact counting (determinization blowup,
-///   [`Report::denies_exact_count`]) skips the doomed exact stage and
-///   goes straight to the FPRAS estimate, marked `degraded` exactly like
-///   the governed ladder's fallback rung — the step budget is never
-///   burned on a stage the analyzer already condemned.
-/// * Otherwise the exact DP runs as in [`count_paths`].
-pub fn count_paths_analyzed<G: PathGraph + Sync>(
-    g: &G,
-    expr: &PathExpr,
-    k: usize,
-    report: &crate::analyze::Report,
-) -> Result<Governed<CountOutcome>, CountError> {
-    if report.is_provably_empty() {
-        return Ok(Governed::complete(CountOutcome::Exact(0)));
-    }
-    if report.denies_exact_count() {
-        let estimate =
-            crate::approx::approx_count(g, expr, k, &crate::approx::ApproxParams::default());
-        return Ok(Governed {
-            value: CountOutcome::Approximate(estimate),
-            completion: crate::govern::Completion::Complete,
-            degraded: true,
-        });
-    }
-    Ok(Governed::complete(CountOutcome::Exact(count_paths(
-        g, expr, k,
-    )?)))
 }
 
 /// Brute-force `Count(G, r, k)`: enumerate every length-`k` walk
@@ -579,37 +540,6 @@ mod governed_tests {
         (g, e)
     }
 
-    #[test]
-    fn analyzed_count_routes_empty_and_blowup() {
-        use crate::analyze::analyze_expr;
-        use kgq_graph::SchemaSummary;
-        // Provably empty: exact zero without building anything.
-        let mut g = gnm_labeled(12, 30, &["a"], &["p", "q"], 3);
-        let dead = parse_expr("ghost/p", g.consts_mut()).unwrap();
-        let schema = SchemaSummary::from_labeled(&g);
-        let report = analyze_expr(&dead, &schema, None);
-        let got = count_paths_analyzed(&LabeledView::new(&g), &dead, 3, &report).unwrap();
-        assert_eq!(got.value, CountOutcome::Exact(0));
-        assert!(!got.degraded);
-
-        // Deny (blowup): routed straight to the FPRAS estimate, degraded.
-        let (gb, blow) = blowup_depth(13);
-        let breport = analyze_expr(&blow, &SchemaSummary::from_labeled(&gb), None);
-        assert!(breport.denies_exact_count());
-        let approx = count_paths_analyzed(&LabeledView::new(&gb), &blow, 16, &breport).unwrap();
-        assert!(approx.degraded);
-        assert!(matches!(approx.value, CountOutcome::Approximate(_)));
-
-        // Clean queries still count exactly.
-        let live = parse_expr("p/q", g.consts_mut()).unwrap();
-        let lreport = analyze_expr(&live, &schema, None);
-        let exact = count_paths_analyzed(&LabeledView::new(&g), &live, 2, &lreport).unwrap();
-        assert_eq!(
-            exact.value,
-            CountOutcome::Exact(count_paths(&LabeledView::new(&g), &live, 2).unwrap())
-        );
-    }
-
     fn blowup() -> (kgq_graph::LabeledGraph, PathExpr) {
         blowup_depth(8)
     }
@@ -642,7 +572,7 @@ mod governed_tests {
             ..Default::default()
         };
         let res =
-            count_paths_governed_with(&view, &e, 11, &budget, CancelToken::new(), &params).unwrap();
+            count_paths_governed_with(&view, &e, 11, &Governor::new(&budget), &params).unwrap();
         assert!(res.degraded, "exact should have been cut short");
         assert_eq!(res.completion, Completion::Complete);
         let CountOutcome::Approximate(est) = res.value else {

@@ -23,11 +23,10 @@
 //! automaton has no ε-skeleton and (usually) fewer states, which shrinks
 //! the product every scan runs over.
 
-use crate::analyze::PlanAdvice;
 use crate::automata::Nfa;
 use crate::bitkernel::{ReachKernel, BATCH};
 use crate::expr::PathExpr;
-use crate::govern::{fault_point, isolate, EvalError, Governed, Governor, Interrupt, Ticker};
+use crate::govern::{fault_point, isolate, EvalError, Governed, Governor, Interrupt};
 use crate::model::PathGraph;
 use crate::path::Path;
 use crate::product::{PState, Product};
@@ -53,18 +52,6 @@ impl Evaluator {
     pub fn new<G: PathGraph>(g: &G, expr: &PathExpr) -> Evaluator {
         let nfa = Nfa::compile_min(expr).nfa;
         Evaluator::from_product(Arc::new(Product::build(g, &nfa)))
-    }
-
-    /// Compiles `expr` and builds the product under `gov`'s budget.
-    pub fn new_governed<G: PathGraph>(
-        g: &G,
-        expr: &PathExpr,
-        gov: &Governor,
-    ) -> Result<Evaluator, Interrupt> {
-        let nfa = Nfa::compile_min(expr).nfa;
-        Ok(Evaluator::from_product(Arc::new(Product::build_governed(
-            g, &nfa, gov,
-        )?)))
     }
 
     /// Wraps an already-built (possibly cached) product.
@@ -108,56 +95,6 @@ impl Evaluator {
         seen
     }
 
-    /// Governed [`Evaluator::reachable_from`]: ticks per frontier
-    /// expansion and charges the visited bitmap (released by the caller).
-    fn reachable_from_governed(
-        &self,
-        start: NodeId,
-        gov: &Governor,
-    ) -> Result<Vec<bool>, Interrupt> {
-        let mut ticker = Ticker::new(gov);
-        gov.charge_memory(self.product.state_count() as u64)?;
-        let mut seen = vec![false; self.product.state_count()];
-        let mut queue: VecDeque<PState> = VecDeque::new();
-        for &s in self.product.initial(start) {
-            if !seen[s as usize] {
-                seen[s as usize] = true;
-                queue.push_back(s);
-            }
-        }
-        while let Some(s) = queue.pop_front() {
-            for &(_, s2) in self.product.out(s) {
-                ticker.tick()?;
-                if !seen[s2 as usize] {
-                    seen[s2 as usize] = true;
-                    queue.push_back(s2);
-                }
-            }
-        }
-        ticker.flush()?;
-        Ok(seen)
-    }
-
-    /// Governed [`Evaluator::ends_from`]; identical output when the
-    /// budget is not exhausted.
-    pub fn ends_from_governed(
-        &self,
-        start: NodeId,
-        gov: &Governor,
-    ) -> Result<Vec<NodeId>, Interrupt> {
-        let seen = self.reachable_from_governed(start, gov)?;
-        let mut ends: Vec<NodeId> = seen
-            .iter()
-            .enumerate()
-            .filter(|&(s, &r)| r && self.product.is_accepting(s as PState))
-            .map(|(s, _)| self.product.node_of(s as PState))
-            .collect();
-        gov.release_memory(seen.len() as u64);
-        ends.sort_unstable();
-        ends.dedup();
-        Ok(ends)
-    }
-
     /// End nodes `b` such that some path `p ∈ ⟦r⟧` has
     /// `start(p) = start ∧ end(p) = b`. Sorted, deduplicated.
     pub fn ends_from(&self, start: NodeId) -> Vec<NodeId> {
@@ -188,68 +125,7 @@ impl Evaluator {
     /// fanned out across threads when available. The result is identical
     /// to [`Evaluator::pairs_sequential`] for every thread count.
     pub fn pairs(&self) -> Vec<(NodeId, NodeId)> {
-        let kernel = self.kernel();
-        let nodes = self.all_nodes();
-        let nb = nodes.len().div_ceil(BATCH);
-        let chunk_of = |i: usize| &nodes[i * BATCH..((i + 1) * BATCH).min(nodes.len())];
-        if crate::parallel::effective_threads() <= 1 || nb < 2 {
-            // Fused sequential path: each batch appends straight into the
-            // accumulator through reusable pre-sized buckets, so the
-            // multi-million-pair answers are written once, not copied
-            // batch-by-batch.
-            let mut scratch: Vec<Vec<NodeId>> = Vec::new();
-            let mut out = Vec::new();
-            for i in 0..nb {
-                let chunk = chunk_of(i);
-                let visited = kernel.sweep(&self.product, chunk);
-                kernel.append_batch_pairs(chunk, &visited, &mut scratch, &mut out);
-            }
-            out
-        } else {
-            let per_batch: Vec<Vec<(NodeId, NodeId)>> = (0..nb)
-                .into_par_iter()
-                .map(|i| {
-                    let chunk = chunk_of(i);
-                    let visited = kernel.sweep(&self.product, chunk);
-                    let mut scratch = Vec::new();
-                    let mut out = Vec::new();
-                    kernel.append_batch_pairs(chunk, &visited, &mut scratch, &mut out);
-                    out
-                })
-                .collect();
-            let mut result = Vec::with_capacity(per_batch.iter().map(Vec::len).sum());
-            for chunk in per_batch {
-                result.extend(chunk);
-            }
-            result
-        }
-    }
-
-    /// All source nodes the product covers, in id order.
-    fn all_nodes(&self) -> Vec<NodeId> {
-        (0..self.product.node_count() as u32).map(NodeId).collect()
-    }
-
-    /// Runs `run` over every [`BATCH`]-sized chunk of `nodes` — in
-    /// parallel when threads are available — and concatenates the chunk
-    /// results in source order (deterministic at every thread count).
-    fn map_batches<T: Send>(
-        &self,
-        nodes: &[NodeId],
-        run: impl Fn(&[NodeId]) -> Vec<T> + Sync,
-    ) -> Vec<T> {
-        let nb = nodes.len().div_ceil(BATCH);
-        let chunk_of = |i: usize| &nodes[i * BATCH..((i + 1) * BATCH).min(nodes.len())];
-        let per_batch: Vec<Vec<T>> = if crate::parallel::effective_threads() <= 1 || nb < 2 {
-            (0..nb).map(|i| run(chunk_of(i))).collect()
-        } else {
-            (0..nb).into_par_iter().map(|i| run(chunk_of(i))).collect()
-        };
-        let mut result = Vec::with_capacity(per_batch.iter().map(Vec::len).sum());
-        for chunk in per_batch {
-            result.extend(chunk);
-        }
-        result
+        ungoverned(self.scan(None, false, ReachKernel::append_batch_pairs))
     }
 
     /// Governed [`Evaluator::pairs`]: every 64-source sweep runs under
@@ -263,59 +139,15 @@ impl Evaluator {
         &self,
         gov: &Governor,
     ) -> Result<Governed<Vec<(NodeId, NodeId)>>, EvalError> {
-        let kernel = self.kernel();
-        let nodes = self.all_nodes();
-        let nb = nodes.len().div_ceil(BATCH);
-        if crate::parallel::effective_threads() > 1 && nb >= 2 {
-            let per_batch = self.scan_governed(gov, |chunk| {
-                let visited = kernel.sweep_governed(&self.product, chunk, gov)?;
-                let mut out = Vec::new();
-                let mut scratch = Vec::new();
-                kernel.append_batch_pairs(chunk, &visited, &mut scratch, &mut out);
-                kernel.release_sweep(gov);
-                Ok(out)
-            });
-            return assemble_prefix(per_batch, gov, true);
-        }
-        // Fused sequential path mirroring [`Evaluator::pairs`]: one
-        // accumulator, scratch reused across batches (so governance adds
-        // no per-batch allocations), results charged as each batch lands
-        // with the same per-item cut point as `assemble_prefix`.
-        let chunk_of = |i: usize| &nodes[i * BATCH..((i + 1) * BATCH).min(nodes.len())];
-        let mut out: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut scratch: Vec<Vec<NodeId>> = Vec::new();
-        for i in 0..nb {
-            let before = out.len();
-            let step = isolate(|| {
-                fault_point!("eval::bfs");
-                // An already-tripped governor stops remaining batches
-                // immediately instead of letting them finish a sweep.
-                if let Some(why) = gov.trip_state() {
-                    return Err(why);
-                }
-                let chunk = chunk_of(i);
-                let visited = kernel.sweep_governed(&self.product, chunk, gov)?;
-                kernel.append_batch_pairs(chunk, &visited, &mut scratch, &mut out);
-                kernel.release_sweep(gov);
-                Ok(())
-            });
-            match step {
-                Ok(()) => {
-                    for idx in before..out.len() {
-                        if let Err(why) = gov.charge_results(1) {
-                            out.truncate(idx);
-                            return Ok(Governed::partial(out, why));
-                        }
-                    }
-                }
-                Err(EvalError::Interrupted(why)) => {
-                    out.truncate(before);
-                    return Ok(Governed::partial(out, why));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(Governed::complete(out))
+        self.scan(Some(gov), true, ReachKernel::append_batch_pairs)
+    }
+
+    /// Node extraction (§4.3): all nodes that *start* a matching path.
+    ///
+    /// Runs on the bit-parallel kernel, with output identical to
+    /// [`Evaluator::matching_starts_sequential`].
+    pub fn matching_starts(&self) -> Vec<NodeId> {
+        ungoverned(self.scan(None, false, append_batch_starts))
     }
 
     /// Governed [`Evaluator::matching_starts`]; same partial-prefix
@@ -324,7 +156,7 @@ impl Evaluator {
         &self,
         gov: &Governor,
     ) -> Result<Governed<Vec<NodeId>>, EvalError> {
-        self.starts_governed_impl(gov, true)
+        self.scan(Some(gov), true, append_batch_starts)
     }
 
     /// [`Evaluator::matching_starts_governed`] without result-budget
@@ -335,40 +167,33 @@ impl Evaluator {
         &self,
         gov: &Governor,
     ) -> Result<Governed<Vec<NodeId>>, EvalError> {
-        self.starts_governed_impl(gov, false)
+        self.scan(Some(gov), false, append_batch_starts)
     }
 
-    fn starts_governed_impl(
+    /// The one multi-source scan: sweeps every [`BATCH`]-sized chunk of
+    /// the node range and lets `emit` append that batch's answers, in
+    /// source order at every thread count. Under a governor each batch is
+    /// panic-isolated and budgeted, answers are charged to the result
+    /// budget when `meter_results`, and the first interrupt cuts the
+    /// value to an exact prefix of the full answer (whole batches, then
+    /// whole items). With `None` no accounting runs at all.
+    fn scan<T: Send>(
         &self,
-        gov: &Governor,
+        gov: Option<&Governor>,
         meter_results: bool,
-    ) -> Result<Governed<Vec<NodeId>>, EvalError> {
+        emit: impl Fn(&ReachKernel, &[NodeId], &[u64], &mut Vec<Vec<NodeId>>, &mut Vec<T>) + Sync,
+    ) -> Result<Governed<Vec<T>>, EvalError> {
         let kernel = self.kernel();
-        let per_batch = self.scan_governed(gov, |chunk| {
-            let visited = kernel.sweep_governed(&self.product, chunk, gov)?;
-            let matched = kernel.batch_matches(&visited);
-            kernel.release_sweep(gov);
-            Ok(chunk
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| matched >> j & 1 == 1)
-                .map(|(_, &v)| v)
-                .collect())
-        });
-        assemble_prefix(per_batch, gov, meter_results)
-    }
-
-    /// Runs `run` for every [`BATCH`]-sized source chunk, in parallel
-    /// when threads are available, isolating worker panics. Results stay
-    /// in source order.
-    fn scan_governed<T: Send>(
-        &self,
-        gov: &Governor,
-        run: impl Fn(&[NodeId]) -> Result<Vec<T>, Interrupt> + Sync,
-    ) -> Vec<Result<Vec<T>, EvalError>> {
-        let nodes = self.all_nodes();
+        let nodes: Vec<NodeId> = (0..self.product.node_count() as u32).map(NodeId).collect();
         let nb = nodes.len().div_ceil(BATCH);
-        let governed_run = |i: usize| {
+        let meter = gov.filter(|_| meter_results);
+        let batch = |i: usize, scratch: &mut Vec<Vec<NodeId>>, out: &mut Vec<T>| {
+            let chunk = &nodes[i * BATCH..((i + 1) * BATCH).min(nodes.len())];
+            let Some(gov) = gov else {
+                let visited = kernel.sweep(&self.product, chunk);
+                emit(kernel, chunk, &visited, scratch, out);
+                return Ok(());
+            };
             isolate(|| {
                 fault_point!("eval::bfs");
                 // An already-tripped governor stops remaining batches
@@ -376,14 +201,44 @@ impl Evaluator {
                 if let Some(why) = gov.trip_state() {
                     return Err(why);
                 }
-                run(&nodes[i * BATCH..((i + 1) * BATCH).min(nodes.len())])
+                let visited = kernel.sweep_governed(&self.product, chunk, gov)?;
+                emit(kernel, chunk, &visited, scratch, out);
+                kernel.release_sweep(gov);
+                Ok(())
             })
         };
+        let mut out: Vec<T> = Vec::new();
         if crate::parallel::effective_threads() <= 1 || nb < 2 {
-            (0..nb).map(governed_run).collect()
+            // Fused sequential path: each batch appends straight into the
+            // accumulator through reusable pre-sized buckets, so the
+            // multi-million-pair answers are written once, not copied
+            // batch-by-batch.
+            let mut scratch = Vec::new();
+            for i in 0..nb {
+                let before = out.len();
+                let landed = batch(i, &mut scratch, &mut out);
+                if let Some(why) = cut_prefix(&mut out, before, landed, meter)? {
+                    return Ok(Governed::partial(out, why));
+                }
+            }
         } else {
-            (0..nb).into_par_iter().map(governed_run).collect()
+            let per_batch: Vec<Result<Vec<T>, EvalError>> = (0..nb)
+                .into_par_iter()
+                .map(|i| {
+                    let mut items = Vec::new();
+                    batch(i, &mut Vec::new(), &mut items).map(|()| items)
+                })
+                .collect();
+            out.reserve(per_batch.iter().flatten().map(Vec::len).sum());
+            for items in per_batch {
+                let before = out.len();
+                let landed = items.map(|items| out.extend(items));
+                if let Some(why) = cut_prefix(&mut out, before, landed, meter)? {
+                    return Ok(Governed::partial(out, why));
+                }
+            }
         }
+        Ok(Governed::complete(out))
     }
 
     /// Single-threaded [`Evaluator::pairs`] (reference implementation).
@@ -397,46 +252,6 @@ impl Evaluator {
             }
         }
         result
-    }
-
-    /// [`Evaluator::pairs`] routed through the static analyzer's
-    /// [`PlanAdvice`]: a `Sequential` recommendation takes the fused
-    /// sequential scan (skipping kernel setup), everything else the
-    /// bit-parallel sweep. Every plan produces byte-identical output —
-    /// advice only moves work, never answers.
-    pub fn pairs_planned(&self, advice: PlanAdvice) -> Vec<(NodeId, NodeId)> {
-        match advice {
-            PlanAdvice::Sequential => self.pairs_sequential(),
-            PlanAdvice::BitParallel | PlanAdvice::Bidirectional => self.pairs(),
-        }
-    }
-
-    /// [`Evaluator::matching_starts`] routed through [`PlanAdvice`]; see
-    /// [`Evaluator::pairs_planned`] for the guarantees.
-    pub fn matching_starts_planned(&self, advice: PlanAdvice) -> Vec<NodeId> {
-        match advice {
-            PlanAdvice::Sequential => self.matching_starts_sequential(),
-            PlanAdvice::BitParallel | PlanAdvice::Bidirectional => self.matching_starts(),
-        }
-    }
-
-    /// Node extraction (§4.3): all nodes that *start* a matching path.
-    ///
-    /// Runs on the bit-parallel kernel, with output identical to
-    /// [`Evaluator::matching_starts_sequential`].
-    pub fn matching_starts(&self) -> Vec<NodeId> {
-        let kernel = self.kernel();
-        let nodes = self.all_nodes();
-        self.map_batches(&nodes, |chunk| {
-            let visited = kernel.sweep(&self.product, chunk);
-            let matched = kernel.batch_matches(&visited);
-            chunk
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| matched >> j & 1 == 1)
-                .map(|(_, &v)| v)
-                .collect()
-        })
     }
 
     /// Single-threaded [`Evaluator::matching_starts`].
@@ -609,34 +424,63 @@ impl Evaluator {
     }
 }
 
-/// Concatenates per-source scan results in source order, cutting at the
-/// first interrupted source so the value is an exact prefix of the full
-/// answer. Result-budget charging happens here, sequentially, so the
-/// prefix length under a result budget is deterministic. Worker panics
-/// (`EvalError::Panic`) propagate as errors.
-fn assemble_prefix<T>(
-    per_source: Vec<Result<Vec<T>, EvalError>>,
-    gov: &Governor,
-    meter_results: bool,
-) -> Result<Governed<Vec<T>>, EvalError> {
-    let mut out = Vec::new();
-    for chunk in per_source {
-        match chunk {
-            Ok(items) => {
-                for item in items {
-                    if meter_results {
-                        if let Err(why) = gov.charge_results(1) {
-                            return Ok(Governed::partial(out, why));
-                        }
+/// Appends the sources of one swept batch that start a matching path.
+fn append_batch_starts(
+    kernel: &ReachKernel,
+    chunk: &[NodeId],
+    visited: &[u64],
+    _scratch: &mut Vec<Vec<NodeId>>,
+    out: &mut Vec<NodeId>,
+) {
+    let matched = kernel.batch_matches(visited);
+    out.extend(
+        chunk
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| matched >> j & 1 == 1)
+            .map(|(_, &v)| v),
+    );
+}
+
+/// Settles one batch of [`Evaluator::scan`] that appended `out[before..]`:
+/// charges those items to `meter` one by one and truncates at the first
+/// refusal, or drops them all when the batch itself was interrupted.
+/// Returns the interrupt that ends the scan, if any; charging happens on
+/// the assembling thread, in source order, so the prefix length under a
+/// result budget is deterministic. Worker panics propagate as errors.
+fn cut_prefix<T>(
+    out: &mut Vec<T>,
+    before: usize,
+    landed: Result<(), EvalError>,
+    meter: Option<&Governor>,
+) -> Result<Option<Interrupt>, EvalError> {
+    match landed {
+        Ok(()) => {
+            if let Some(gov) = meter {
+                for idx in before..out.len() {
+                    if let Err(why) = gov.charge_results(1) {
+                        out.truncate(idx);
+                        return Ok(Some(why));
                     }
-                    out.push(item);
                 }
             }
-            Err(EvalError::Interrupted(why)) => return Ok(Governed::partial(out, why)),
-            Err(e) => return Err(e),
+            Ok(None)
         }
+        Err(EvalError::Interrupted(why)) => {
+            out.truncate(before);
+            Ok(Some(why))
+        }
+        Err(e) => Err(e),
     }
-    Ok(Governed::complete(out))
+}
+
+/// Unwraps a scan that ran without a governor, which cannot be
+/// interrupted.
+fn ungoverned<T>(res: Result<Governed<T>, EvalError>) -> T {
+    match res {
+        Ok(governed) => governed.value,
+        Err(e) => unreachable!("ungoverned scan failed: {e}"),
+    }
 }
 
 /// All matching paths from `a` to `b` of length at most `max_len`,

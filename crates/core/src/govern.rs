@@ -251,6 +251,15 @@ impl<T> Governed<T> {
     pub fn is_partial(&self) -> bool {
         !self.completion.is_complete()
     }
+
+    /// Transforms the value, keeping the completion and degraded flags.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Governed<U> {
+        Governed {
+            value: f(self.value),
+            completion: self.completion,
+            degraded: self.degraded,
+        }
+    }
 }
 
 /// Packed sticky-trip encoding: 0 = not tripped, else `Interrupt` + 1.
@@ -357,6 +366,12 @@ impl Governor {
     /// The cancel token this governor observes.
     pub fn cancel_token(&self) -> &CancelToken {
         &self.cancel
+    }
+
+    /// The step budget this governor enforces (`u64::MAX` when
+    /// unlimited).
+    pub fn step_limit(&self) -> u64 {
+        self.max_steps
     }
 
     /// Steps charged so far.

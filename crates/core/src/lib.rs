@@ -66,7 +66,7 @@ pub use automata::{MinimizedNfa, Nfa, NfaSignature};
 pub use bitkernel::ReachKernel;
 pub use cache::{CacheStats, CompiledQuery, QueryCache};
 pub use count::{
-    count_paths, count_paths_analyzed, count_paths_governed, count_paths_naive, CountError,
+    count_paths, count_paths_governed, count_paths_governed_with, count_paths_naive, CountError,
     CountOutcome, ExactCounter,
 };
 pub use enumerate::{

@@ -4,7 +4,7 @@
 //! must never change answers, and plan advice must never change output
 //! bytes.
 
-use kgq_core::analyze::{analyze_expr, pruned_min, PlanAdvice};
+use kgq_core::analyze::{analyze_expr, pruned_min};
 use kgq_core::automata::Nfa;
 use kgq_core::eval::Evaluator;
 use kgq_core::model::LabeledView;
@@ -119,18 +119,5 @@ proptest! {
         let got =
             Evaluator::from_product(Arc::new(Product::build(&view, &pruned.nfa))).pairs_sequential();
         prop_assert_eq!(got, reference);
-    }
-
-    #[test]
-    fn plan_advice_never_changes_output_bytes(spec in spec_strategy()) {
-        let (g, expr) = build(&spec);
-        let view = LabeledView::new(&g);
-        let ev = Evaluator::new(&view, &expr);
-        let ref_pairs = ev.pairs_planned(PlanAdvice::Sequential);
-        let ref_starts = ev.matching_starts_planned(PlanAdvice::Sequential);
-        for advice in [PlanAdvice::BitParallel, PlanAdvice::Bidirectional] {
-            prop_assert_eq!(&ev.pairs_planned(advice), &ref_pairs, "{:?}", advice);
-            prop_assert_eq!(&ev.matching_starts_planned(advice), &ref_starts, "{:?}", advice);
-        }
     }
 }

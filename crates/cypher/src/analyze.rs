@@ -4,7 +4,7 @@
 //! labels, property keys and `(key, value)` pairs a query mentions are
 //! checked against a [`SchemaSummary`] harvested from the target graph,
 //! and provably-empty queries are flagged with `Deny` diagnostics so
-//! [`crate::exec::execute_cached`] can short-circuit without compiling a
+//! [`crate::exec::execute_governed`] can short-circuit without compiling a
 //! prefilter. The emitted [`Report`] reuses the core diagnostic and
 //! rendering machinery, so `kgq cypher --explain` prints the same
 //! severity/caret/verdict shape as `kgq query --explain`.

@@ -106,46 +106,14 @@ fn pattern_prefilter(g: &PropertyGraph, pattern: &PathPattern) -> Prefilter {
     Prefilter::Expr(expr)
 }
 
-/// Executes a parsed query, pruning each fully labeled pattern chain
-/// through `cache`: the chain is compiled to a path expression (reusing
-/// a cached graph × NFA product when the graph generation matches) and
-/// start candidates are restricted to its `matching_starts` set. Falls
-/// back to plain [`execute`] behavior for chains with unlabeled
-/// elements. Results are identical to [`execute`].
+/// [`execute_governed`] under an unlimited governor: the prefiltered,
+/// cache-backed executor for callers without a budget. Results are
+/// identical to [`execute`].
 pub fn execute_cached(g: &PropertyGraph, query: &Query, cache: &QueryCache) -> Vec<Row> {
-    // Static analysis first: a provably-empty query (unknown label,
-    // contradictory WHERE, …) returns without compiling anything, and
-    // the skipped compilation is visible in the cache stats.
-    let report = crate::analyze::analyze_query(g, query, None);
-    if report.is_provably_empty() {
-        cache.note_short_circuit();
-        return Vec::new();
+    match execute_governed(g, query, cache, &Governor::unlimited()) {
+        Ok(res) => res.value,
+        Err(e) => panic!("ungoverned Cypher execution failed: {e}"),
     }
-    let generation = g.generation();
-    let view = PropertyView::new(g);
-    let mut filters: Vec<Option<Vec<NodeId>>> = Vec::with_capacity(query.patterns.len());
-    for pattern in &query.patterns {
-        match pattern_prefilter(g, pattern) {
-            Prefilter::NotApplicable => filters.push(None),
-            Prefilter::Empty => return Vec::new(),
-            Prefilter::Expr(e) => {
-                // `matching_starts` runs on the 64-source bit-parallel
-                // reachability kernel, so the prefilter costs one sweep
-                // over the product per 64 candidate nodes (unless the
-                // analyzer advised a sequential scan for this graph).
-                let compiled = cache.get_or_compile(&view, generation, &e);
-                let mut starts = compiled.evaluator().matching_starts_planned(report.plan);
-                starts.sort_unstable();
-                if starts.is_empty() {
-                    // MATCH patterns are conjunctive: one unmatchable
-                    // chain empties the whole result.
-                    return Vec::new();
-                }
-                filters.push(Some(starts));
-            }
-        }
-    }
-    execute_with_filters(g, query, filters)
 }
 
 fn execute_with_filters(
@@ -169,7 +137,12 @@ fn execute_with_filters(
     }
 }
 
-/// Governed [`execute_cached`]: prefilter compilation, the prefilter
+/// Executes a parsed query under `gov`, pruning each fully labeled
+/// pattern chain through `cache`: the chain is compiled to a path
+/// expression (reusing a cached graph × NFA product when the graph
+/// generation matches) and start candidates are restricted to its
+/// `matching_starts` set; chains with unlabeled elements fall back to
+/// plain [`execute`] behavior. Prefilter compilation, the prefilter
 /// scans, and the backtracking search all run under `gov`. Exhaustion
 /// mid-search returns the rows found so far as a
 /// [`kgq_core::govern::Completion::Partial`] result (rows appear in the
@@ -182,8 +155,10 @@ pub fn execute_governed(
     cache: &QueryCache,
     gov: &Governor,
 ) -> Result<Governed<Vec<Row>>, EvalError> {
-    // Same analyzer short-circuit as `execute_cached`: a provably-empty
-    // query completes instantly without charging the governor.
+    // Static analysis first: a provably-empty query (unknown label,
+    // contradictory WHERE, …) completes instantly without compiling
+    // anything or charging the governor, and the skipped compilation is
+    // visible in the cache stats.
     let report = crate::analyze::analyze_query(g, query, None);
     if report.is_provably_empty() {
         cache.note_short_circuit();
@@ -204,6 +179,9 @@ pub fn execute_governed(
                     }
                     Err(e) => return Err(e),
                 };
+                // `matching_starts` runs on the 64-source bit-parallel
+                // reachability kernel, so the prefilter costs one sweep
+                // over the product per 64 candidate nodes.
                 // The prefilter is only sound when complete — a partial
                 // start set would prune real solutions. The governor is
                 // sticky, so after a trip the search below stops at its
@@ -225,6 +203,8 @@ pub fn execute_governed(
                 let mut starts = starts.value;
                 starts.sort_unstable();
                 if starts.is_empty() {
+                    // MATCH patterns are conjunctive: one unmatchable
+                    // chain empties the whole result.
                     return Ok(Governed::complete(Vec::new()));
                 }
                 filters.push(Some(starts));

@@ -87,7 +87,9 @@ impl BgpVerdict {
             exp
         );
         if let Some(est) = self.est_answers {
-            out.push_str(&format!("estimated answers: ~{est:.0} (cardinality sketch)\n"));
+            out.push_str(&format!(
+                "estimated answers: ~{est:.0} (cardinality sketch)\n"
+            ));
         }
         out
     }

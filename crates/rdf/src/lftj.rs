@@ -185,11 +185,7 @@ fn shapes(bgp: &Bgp) -> (Vec<VarName>, Vec<PatternInfo>) {
 /// repeated-variable pattern this is an upper bound, still sound for
 /// both ordering and the emptiness short-circuit), plus the provably-
 /// empty reason when some pattern matches nothing.
-fn exact_cards(
-    st: &TripleStore,
-    bgp: &Bgp,
-    infos: &[PatternInfo],
-) -> (Vec<usize>, Option<String>) {
+fn exact_cards(st: &TripleStore, bgp: &Bgp, infos: &[PatternInfo]) -> (Vec<usize>, Option<String>) {
     let mut empty = None;
     let mut cards = Vec::with_capacity(infos.len());
     for (info, pat) in infos.iter().zip(&bgp.patterns) {
@@ -390,11 +386,8 @@ fn sketch_ext(
         .unwrap_or(0);
     // Bound key columns ahead of v: constants first (their values feed
     // the heavy-hitter lookup), then already-placed variable positions.
-    let mut bound: Vec<(usize, Option<Sym>)> = info
-        .const_pos
-        .iter()
-        .map(|&(p, c)| (p, Some(c)))
-        .collect();
+    let mut bound: Vec<(usize, Option<Sym>)> =
+        info.const_pos.iter().map(|&(p, c)| (p, Some(c))).collect();
     for &(p, id) in &info.var_pos {
         if id != v && placed[id] && !bound.iter().any(|&(q, _)| q == p) {
             bound.push((p, None));
@@ -1343,6 +1336,7 @@ enum CountStop {
 /// length: the remaining candidates of the one cursor are provably
 /// distinct (triples are unique, and materialized tables are deduped),
 /// so `hi - pos` is the exact extension count without iterating.
+#[allow(clippy::too_many_arguments)]
 fn count_level(
     engine: &Engine,
     cursors: &mut [Cursor],
@@ -1366,9 +1360,7 @@ fn count_level(
         let mut left = n;
         while left > 0 {
             let step = left.min(u64::from(u32::MAX));
-            ticker
-                .tick_n(step as u32)
-                .map_err(CountStop::Interrupt)?;
+            ticker.tick_n(step as u32).map_err(CountStop::Interrupt)?;
             left -= step;
         }
         *count += n;

@@ -66,11 +66,9 @@ pub use query::{rpq_pairs, rpq_starts, RpqError};
 pub use reason::{
     materialize_rdfs, InferenceStats, RDFS_DOMAIN, RDFS_RANGE, RDFS_SUBCLASS, RDFS_SUBPROPERTY,
 };
-pub use sketch::{
-    approx_count_bgp, approx_count_bgp_governed, BgpCountParams, StoreSketch,
-};
+pub use sketch::{approx_count_bgp, approx_count_bgp_governed, BgpCountParams, StoreSketch};
 pub use sparql::{
-    explain_parsed, explain_select, parse_select, select, select_governed, select_governed_with,
-    SelectOutcome, SelectQuery, SparqlParseError,
+    explain_parsed, explain_select, parse_select, select, select_governed_with, SelectOutcome,
+    SelectQuery, SparqlParseError,
 };
 pub use store::{IndexOrder, Triple, TripleStore};

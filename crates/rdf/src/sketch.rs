@@ -248,11 +248,11 @@ fn build_ordering(rows: &[[Sym; 3]]) -> OrderingSketch {
         };
         if heavy.len() < HEAVY_K {
             heavy.push(bucket);
-            heavy.sort_by(|a, b| b.rows.cmp(&a.rows));
+            heavy.sort_by_key(|b| std::cmp::Reverse(b.rows));
         } else if let Some(last) = heavy.last_mut() {
             if bucket.rows > last.rows {
                 *last = bucket;
-                heavy.sort_by(|a, b| b.rows.cmp(&a.rows));
+                heavy.sort_by_key(|b| std::cmp::Reverse(b.rows));
             }
         }
         i = j;
@@ -470,7 +470,9 @@ fn round_estimate(
     let nlevels = sp.plan.vars.len();
     let exts: Vec<f64> = sp.estimates.iter().map(|e| e.ext).collect();
     let mut rng = SeedStream::new(seed);
-    let cons: Vec<XorConstraint> = (0..MAX_M).map(|_| XorConstraint::sample(&mut rng)).collect();
+    let cons: Vec<XorConstraint> = (0..MAX_M)
+        .map(|_| XorConstraint::sample(&mut rng))
+        .collect();
 
     let survivors = |m: usize| -> Result<(u64, Option<Interrupt>), EvalError> {
         let lc = schedule(nlevels, &exts, &cons[..m]);
@@ -483,7 +485,10 @@ fn round_estimate(
         let mid = lo + (hi - lo) / 2;
         let (n, tripped) = survivors(mid)?;
         if let Some(why) = tripped {
-            return Ok((best.map(|(m, n)| n.saturating_shl(m)).unwrap_or(n), Some(why)));
+            return Ok((
+                best.map(|(m, n)| n.saturating_shl(m)).unwrap_or(n),
+                Some(why),
+            ));
         }
         if n <= thresh {
             best = Some((mid, n));
@@ -570,7 +575,14 @@ pub fn approx_count_bgp_governed(
     let mut estimates: Vec<u64> = Vec::with_capacity(t);
     let mut interrupted: Option<Interrupt> = None;
     for r in 0..t {
-        match round_estimate(st, bgp, &sp, thresh, params.seed.wrapping_add(r as u64), gov)? {
+        match round_estimate(
+            st,
+            bgp,
+            &sp,
+            thresh,
+            params.seed.wrapping_add(r as u64),
+            gov,
+        )? {
             (est, None) => estimates.push(est),
             (est, Some(why)) => {
                 estimates.push(est);
@@ -635,7 +647,10 @@ mod tests {
             a.insert_hash(splitmix64(i));
         }
         let est = a.estimate();
-        assert!((est - 500.0).abs() < 75.0, "estimate {est} too far from 500");
+        assert!(
+            (est - 500.0).abs() < 75.0,
+            "estimate {est} too far from 500"
+        );
         // Intersection of overlapping sets.
         let mut b = DistinctSketch::new();
         for i in 250..750u64 {

@@ -16,15 +16,16 @@
 //! Evaluation runs the static checks of [`crate::analyze`] (a provably
 //! empty pattern short-circuits before planning), then the leapfrog
 //! triejoin of [`crate::lftj`]; [`explain_select`] surfaces the
-//! diagnostics and the chosen plan, and [`select_governed`] threads the
-//! `kgq-core` governance contract through evaluation.
+//! diagnostics and the chosen plan, and [`select_governed_with`] threads
+//! the `kgq-core` governance contract through evaluation.
 
-use crate::analyze::analyze_bgp;
+use crate::analyze::{analyze_bgp, BgpReport};
 use crate::bgp::{Bgp, TermPattern, TriplePattern};
 use crate::convert::RDF_TYPE;
 use crate::sketch::{approx_count_bgp_governed, BgpCountParams, StoreSketch};
 use crate::store::TripleStore;
-use kgq_core::govern::{Completion, EvalError, Governed, Governor};
+use kgq_core::govern::{EvalError, Governed, Governor};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// Parse error for SELECT queries.
@@ -302,136 +303,93 @@ fn projected(q: &SelectQuery) -> Option<&[String]> {
 }
 
 /// Parses and evaluates a SELECT query, returning rows of term strings
-/// in projection order, sorted for determinism. A provably empty
-/// pattern (static analysis) short-circuits before planning; a COUNT
-/// query returns a single one-column row with the exact answer count.
-/// Planning is sketch-driven ([`crate::lftj::plan_best`]); the sketch
-/// only influences elimination order, so output is byte-identical to
-/// the greedy planner's.
+/// in projection order, sorted for determinism: [`select_governed_with`]
+/// under an unlimited governor, over a sketch built on the spot.
 pub fn select(st: &mut TripleStore, query: &str) -> Result<Vec<Vec<String>>, SparqlParseError> {
     let q = parse_select(query, st)?;
-    if analyze_bgp(st, &q.pattern, projected(&q)).provably_empty {
-        return Ok(match &q.count {
-            Some(_) => vec![vec!["0".to_owned()]],
-            None => Vec::new(),
-        });
+    match select_governed_with(st, &q, || StoreSketch::build(st), &Governor::unlimited()) {
+        Ok(outcome) => Ok(outcome.rows.value),
+        Err(e) => panic!("ungoverned SELECT failed: {e}"),
     }
-    let sk = StoreSketch::build(st);
-    let (plan, _, _) = crate::lftj::plan_best(st, &sk, &q.pattern);
-    if q.count.is_some() {
-        let n = crate::lftj::count_planned(st, &q.pattern, &plan);
-        return Ok(vec![vec![n.to_string()]]);
-    }
-    let sol = crate::lftj::solve_planned(
-        st,
-        &q.pattern,
-        &plan,
-        kgq_core::parallel::effective_threads(),
-    );
-    Ok(project(st, &q, &sol))
 }
 
-/// Evaluates an already-parsed SELECT query under a governor: batched
-/// step accounting through every trie seek, panic-isolated workers, and
-/// an exact-prefix `Partial` (of the unprojected binding set) on budget
-/// exhaustion.
-pub fn select_governed(
-    st: &TripleStore,
-    q: &SelectQuery,
-    gov: &Governor,
-) -> Result<Governed<Vec<Vec<String>>>, EvalError> {
-    select_governed_with(st, q, None, gov).map(|o| o.rows)
-}
-
-/// What [`select_governed_with`] produced, plus how: whether the
-/// sketch planner supplied the executed plan (vs the greedy fallback)
-/// and whether a COUNT query degraded to the FPRAS estimate — the
-/// evidence the serve layer's STATS counters report.
+/// What [`select_governed_with`] produced, plus how: the analyzer's
+/// report, whether the sketch planner supplied the executed plan (vs
+/// the greedy fallback) and whether a COUNT query degraded to the FPRAS
+/// estimate — the evidence the serve layer's STATS counters report.
 pub struct SelectOutcome {
     /// The projected rows (or the single-row count), governed.
     pub rows: Governed<Vec<Vec<String>>>,
+    /// The static analysis consulted before planning; when it is
+    /// `provably_empty` the rows are the short-circuit answer and no
+    /// plan ran.
+    pub report: BgpReport,
     /// True when the sketch-driven plan was executed.
     pub sketch_planned: bool,
     /// True when a COUNT query fell back to the approximate counter.
     pub approx_count: bool,
 }
 
-/// [`select_governed`] with an optional pre-built [`StoreSketch`]:
-/// sketch-driven planning when available (greedy otherwise), and — for
-/// COUNT queries — the governed degradation ladder: exact count while
-/// the budget lasts, then an XOR-hash (ε, δ) estimate under a successor
-/// budget with the `degraded` flag set. The exact path's output is
-/// byte-identical whether or not a sketch is supplied.
-pub fn select_governed_with(
+/// Evaluates an already-parsed SELECT query under a governor. Static
+/// analysis runs first: a provably empty pattern short-circuits before
+/// planning (a COUNT then answers `0`) and before `sketch` is asked for
+/// the store's statistics, so a caller that builds them on demand pays
+/// nothing. Otherwise the plan is sketch-driven ([`crate::lftj::plan_best`]; the sketch only influences
+/// elimination order, never answers) and the leapfrog triejoin runs with
+/// batched step accounting through every trie seek, panic-isolated
+/// workers, and an exact-prefix `Partial` (of the unprojected binding
+/// set) on budget exhaustion. COUNT queries climb the governed
+/// degradation ladder: exact count while the budget lasts, then an
+/// XOR-hash (ε, δ) estimate under a successor budget with the `degraded`
+/// flag set.
+pub fn select_governed_with<S: Borrow<StoreSketch>>(
     st: &TripleStore,
     q: &SelectQuery,
-    sk: Option<&StoreSketch>,
+    sketch: impl FnOnce() -> S,
     gov: &Governor,
 ) -> Result<SelectOutcome, EvalError> {
-    if analyze_bgp(st, &q.pattern, projected(q)).provably_empty {
+    let report = analyze_bgp(st, &q.pattern, projected(q));
+    let count_row = |n: String| vec![vec![n]];
+    let (rows, sketch_planned, approx_count) = if report.provably_empty {
         let rows = match &q.count {
-            Some(_) => vec![vec!["0".to_owned()]],
+            Some(_) => count_row("0".to_owned()),
             None => Vec::new(),
         };
-        return Ok(SelectOutcome {
-            rows: Governed::complete(rows),
-            sketch_planned: false,
-            approx_count: false,
-        });
-    }
-    let (plan, sketch_planned) = match sk {
-        Some(sk) => {
-            let (p, used, _) = crate::lftj::plan_best(st, sk, &q.pattern);
-            (p, used)
-        }
-        None => (crate::lftj::plan(st, &q.pattern), false),
-    };
-    if q.count.is_some() {
-        let exact = crate::lftj::count_planned_governed(st, &q.pattern, &plan, gov)?;
-        if matches!(exact.completion, Completion::Complete) {
-            return Ok(SelectOutcome {
-                rows: Governed::complete(vec![vec![exact.value.to_string()]]),
-                sketch_planned,
-                approx_count: false,
-            });
-        }
-        // Budget exhausted mid-count: degrade to the approximate
-        // counter under a fresh successor budget. Its own exact path
-        // (small counts) still returns the precise value.
-        let built;
-        let sk_ref = match sk {
-            Some(s) => s,
-            None => {
-                built = StoreSketch::build(st);
-                &built
+        (Governed::complete(rows), false, false)
+    } else {
+        let sk = sketch();
+        let sk = sk.borrow();
+        let (plan, sketch_planned, _) = crate::lftj::plan_best(st, sk, &q.pattern);
+        if q.count.is_none() {
+            let solved = crate::lftj::solve_planned_governed(st, &q.pattern, &plan, gov)?;
+            let rows = solved.map(|solution| project(st, q, &solution));
+            (rows, sketch_planned, false)
+        } else {
+            let exact = crate::lftj::count_planned_governed(st, &q.pattern, &plan, gov)?;
+            if exact.completion.is_complete() {
+                let rows = Governed::complete(count_row(exact.value.to_string()));
+                (rows, sketch_planned, false)
+            } else {
+                // Budget exhausted mid-count: degrade to the approximate
+                // counter under a fresh successor budget. Its own exact
+                // path (small counts) still returns the precise value.
+                let approx = approx_count_bgp_governed(
+                    st,
+                    sk,
+                    &q.pattern,
+                    BgpCountParams::default(),
+                    &gov.successor(),
+                )?;
+                let rows = approx.map(|n| count_row(n.to_string()));
+                (rows, sketch_planned, true)
             }
-        };
-        let approx = approx_count_bgp_governed(
-            st,
-            sk_ref,
-            &q.pattern,
-            BgpCountParams::default(),
-            &gov.successor(),
-        )?;
-        return Ok(SelectOutcome {
-            rows: Governed {
-                value: vec![vec![approx.value.to_string()]],
-                completion: approx.completion,
-                degraded: approx.degraded,
-            },
-            sketch_planned,
-            approx_count: true,
-        });
-    }
-    let governed = crate::lftj::solve_planned_governed(st, &q.pattern, &plan, gov)?;
+        }
+    };
     Ok(SelectOutcome {
-        rows: Governed {
-            value: project(st, q, &governed.value),
-            completion: governed.completion,
-            degraded: governed.degraded,
-        },
+        rows,
+        report,
         sketch_planned,
-        approx_count: false,
+        approx_count,
     })
 }
 
@@ -448,7 +406,7 @@ pub fn explain_select(st: &mut TripleStore, query: &str) -> Result<String, Sparq
 /// [`explain_select`] for an already-parsed query: returns the analyzer
 /// report alongside the rendered text, so callers (the `ANALYZE` server
 /// verb, `kgq analyze`) can count verdicts without re-analyzing.
-pub fn explain_parsed(st: &TripleStore, q: &SelectQuery) -> (crate::analyze::BgpReport, String) {
+pub fn explain_parsed(st: &TripleStore, q: &SelectQuery) -> (BgpReport, String) {
     let mut report = analyze_bgp(st, &q.pattern, projected(q));
     let mut out = String::from("== diagnostics ==\n");
     out.push_str(&report.render());
@@ -579,9 +537,9 @@ mod tests {
         let plain = select(&mut st, query).unwrap();
         let q = parse_select(query, &mut st).unwrap();
         let gov = Governor::unlimited();
-        let governed = select_governed(&st, &q, &gov).unwrap();
-        assert!(governed.completion.is_complete());
-        assert_eq!(governed.value, plain);
+        let governed = select_governed_with(&st, &q, || StoreSketch::build(&st), &gov).unwrap();
+        assert!(governed.rows.completion.is_complete());
+        assert_eq!(governed.rows.value, plain);
     }
 
     #[test]

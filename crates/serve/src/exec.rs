@@ -10,18 +10,15 @@
 //! requests resolves to the same [`kgq_graph::Sym`] — which is what
 //! makes the shared cache's signature keys sound across clients.
 //!
-//! Output formats are byte-identical to the CLI's governed paths,
-//! including the `# partial: REASON` trailer, so a response body can be
-//! diffed directly against `kgq query`/`kgq cypher`/`kgq sparql`
-//! output.
+//! Every query verb runs through [`crate::pipeline`], the same bodies
+//! the CLI calls, so a response body can be diffed directly against
+//! `kgq query`/`kgq cypher`/`kgq sparql` output, `# partial: REASON`
+//! trailer included; this module adds only locking, parsing and stats.
 
+use crate::pipeline::{self, Answer, RpqOp, Subject};
 use crate::protocol::{effective_budget, Caps, Verb};
 use crate::stats::ServerStats;
-use kgq_core::analyze::{Diagnostic, Severity};
-use kgq_core::{
-    analyze_expr, count_paths_governed, parse_expr, Budget, CancelToken, Completion, EvalError,
-    Governed, Governor, PropertyView, QueryCache,
-};
+use kgq_core::{parse_expr, Budget, CancelToken, Governor, QueryCache};
 use kgq_graph::{PropertyGraph, SchemaSummary};
 use kgq_rdf::{StoreSketch, TripleStore};
 use kgq_store::{DurableStore, EdgeRec};
@@ -186,14 +183,25 @@ impl Snapshot {
         schema
     }
 
-    /// Tallies one analyzer run into the server counters.
-    fn record_analysis(&self, diagnostics: &[Diagnostic]) {
-        let count = |s: Severity| diagnostics.iter().filter(|d| d.severity == s).count() as u64;
-        self.stats.analysis(
-            count(Severity::Deny),
-            count(Severity::Warn),
-            count(Severity::Note),
-        );
+    /// Tallies what a pipeline run reported into the server counters
+    /// and frames its body.
+    fn tally(&self, answer: Answer) -> Outcome {
+        let [deny, warn, note] = answer.verdicts;
+        self.stats.analysis(deny, warn, note);
+        if answer.short_circuited {
+            self.stats.deny_short_circuit();
+        }
+        if let Some(sketch) = answer.sketch_planned {
+            self.stats.plan_choice(sketch);
+        }
+        if answer.approx_count {
+            self.stats.approx_count();
+        }
+        Outcome {
+            body: answer.body,
+            ok: answer.ok,
+            partial: answer.partial,
+        }
     }
 
     /// Executes one query request under its effective budget. `cancel`
@@ -236,96 +244,12 @@ impl Snapshot {
             let mut g = self.graph_write();
             parse_expr(expr_text, g.labeled_mut().consts_mut()).map_err(|e| e.render(expr_text))?
         };
+        let op = RpqOp::parse(op.split_ascii_whitespace())?;
         let g = self.graph_read();
-        // Static analysis gate: every RPQ consults the analyzer before
-        // planning. A provably empty language short-circuits to the
-        // byte-identical empty answer without touching the evaluator.
         let schema = self.schema_summary(&g);
-        let report = analyze_expr(&expr, &schema, Some((expr_text, g.labeled().consts())));
-        self.record_analysis(&report.diagnostics);
-        let op_name = op.split_ascii_whitespace().next().unwrap_or("");
-        if report.provably_empty && matches!(op_name, "pairs" | "starts") {
-            self.stats.deny_short_circuit();
-            return Ok(Outcome::ok(String::new(), false));
-        }
-        let view = PropertyView::new(&g);
-        let gov = Governor::with_cancel(budget, cancel.clone());
-        let mut out = String::new();
-        match op_name {
-            "pairs" => {
-                let compiled =
-                    match self
-                        .cache
-                        .get_or_compile_governed(&view, g.generation(), &expr, &gov)
-                    {
-                        Ok(c) => c,
-                        // Budget exhausted before the automaton built:
-                        // the answer is the empty prefix, reported as a
-                        // typed partial (same as the CLI).
-                        Err(EvalError::Interrupted(why)) => {
-                            out.push_str(&format!("# partial: {why}\n"));
-                            return Ok(Outcome::ok(out, true));
-                        }
-                        Err(e) => return Err(e.to_string()),
-                    };
-                let res = compiled
-                    .evaluator()
-                    .pairs_governed(&gov)
-                    .map_err(|e| e.to_string())?;
-                for (a, b) in &res.value {
-                    out.push_str(&format!(
-                        "{}\t{}\n",
-                        g.labeled().node_name(*a),
-                        g.labeled().node_name(*b)
-                    ));
-                }
-                let partial = marker(&mut out, &res);
-                Ok(Outcome::ok(out, partial))
-            }
-            "starts" => {
-                let compiled =
-                    match self
-                        .cache
-                        .get_or_compile_governed(&view, g.generation(), &expr, &gov)
-                    {
-                        Ok(c) => c,
-                        Err(EvalError::Interrupted(why)) => {
-                            out.push_str(&format!("# partial: {why}\n"));
-                            return Ok(Outcome::ok(out, true));
-                        }
-                        Err(e) => return Err(e.to_string()),
-                    };
-                let res = compiled
-                    .evaluator()
-                    .matching_starts_governed(&gov)
-                    .map_err(|e| e.to_string())?;
-                for n in &res.value {
-                    out.push_str(g.labeled().node_name(*n));
-                    out.push('\n');
-                }
-                let partial = marker(&mut out, &res);
-                Ok(Outcome::ok(out, partial))
-            }
-            "count" => {
-                let k: usize = op
-                    .split_ascii_whitespace()
-                    .nth(1)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("count needs K")?;
-                if report.provably_empty {
-                    // An empty language admits zero paths of any length.
-                    self.stats.deny_short_circuit();
-                    out.push_str("0\n");
-                    return Ok(Outcome::ok(out, false));
-                }
-                let res = count_paths_governed(&view, &expr, k, budget, cancel)
-                    .map_err(|e| e.to_string())?;
-                out.push_str(&format!("{}\n", res.value));
-                let partial = marker(&mut out, &res);
-                Ok(Outcome::ok(out, partial))
-            }
-            other => Err(format!("unknown query op `{other}`")),
-        }
+        let gov = Governor::with_cancel(budget, cancel);
+        let answer = pipeline::rpq(&g, &schema, &self.cache, op, &expr, expr_text, &gov);
+        Ok(self.tally(answer))
     }
 
     fn run_cypher(
@@ -336,25 +260,8 @@ impl Snapshot {
     ) -> Result<Outcome, String> {
         let q = kgq_cypher::parse_query(payload).map_err(|e| e.render(payload))?;
         let g = self.graph_read();
-        // Analyzer gate (counters + Deny short-circuit). The governed
-        // executor re-checks internally, so its empty return for a
-        // denied query is byte-identical to this one.
-        let report = kgq_cypher::analyze_query(&g, &q, Some(payload));
-        self.record_analysis(&report.diagnostics);
-        if report.provably_empty {
-            self.stats.deny_short_circuit();
-            return Ok(Outcome::ok(String::new(), false));
-        }
         let gov = Governor::with_cancel(budget, cancel);
-        let res =
-            kgq_cypher::execute_governed(&g, &q, &self.cache, &gov).map_err(|e| e.to_string())?;
-        let mut out = String::new();
-        for row in &res.value {
-            out.push_str(&row.join("\t"));
-            out.push('\n');
-        }
-        let partial = marker(&mut out, &res);
-        Ok(Outcome::ok(out, partial))
+        Ok(self.tally(pipeline::cypher(&g, &self.cache, &q, &gov)))
     }
 
     fn run_sparql(
@@ -374,41 +281,9 @@ impl Snapshot {
         let generation = g.generation();
         let st = self.store_read();
         drop(g);
-        // Analyzer gate: tallies BGP verdicts and answers Deny-empty
-        // queries without planning — byte-identical to the governed
-        // evaluator's own short-circuit, which re-checks internally.
-        // (A COUNT query projects no bindings, so all its variables
-        // count as used.)
-        let projected = if q.count.is_some() {
-            None
-        } else {
-            Some(q.vars.as_slice())
-        };
-        let report = kgq_rdf::analyze_bgp(&st, &q.pattern, projected);
-        self.record_analysis(&report.diagnostics);
-        if report.provably_empty {
-            self.stats.deny_short_circuit();
-            let body = match &q.count {
-                Some(_) => "0\n".to_owned(),
-                None => String::new(),
-            };
-            return Ok(Outcome::ok(body, false));
-        }
-        let sk = self.store_sketch(&st, generation);
+        let sketch = || self.store_sketch(&st, generation);
         let gov = Governor::with_cancel(budget, cancel);
-        let res = kgq_rdf::select_governed_with(&st, &q, Some(&sk), &gov)
-            .map_err(|e| e.to_string())?;
-        self.stats.plan_choice(res.sketch_planned);
-        if res.approx_count {
-            self.stats.approx_count();
-        }
-        let mut out = String::new();
-        for row in &res.rows.value {
-            out.push_str(&row.join("\t"));
-            out.push('\n');
-        }
-        let partial = marker(&mut out, &res.rows);
-        Ok(Outcome::ok(out, partial))
+        Ok(self.tally(pipeline::sparql(&st, sketch, &q, &gov)))
     }
 
     /// `INSERT` payload: one mutation per line — an N-Triples line or
@@ -507,7 +382,7 @@ impl Snapshot {
         let (kind, text) = payload
             .split_once('\n')
             .ok_or("ANALYZE payload needs a kind line and the query text")?;
-        let body = match kind.trim() {
+        let answer = match kind.trim() {
             "query" => {
                 let expr = {
                     let mut g = self.graph_write();
@@ -515,44 +390,29 @@ impl Snapshot {
                 };
                 let g = self.graph_read();
                 let schema = self.schema_summary(&g);
-                let report = analyze_expr(&expr, &schema, Some((text, g.labeled().consts())));
-                self.record_analysis(&report.diagnostics);
-                report.render(text)
+                pipeline::analyze(Subject::Rpq(&g, &schema, &expr, text))
             }
             "cypher" => {
                 let q = kgq_cypher::parse_query(text).map_err(|e| e.render(text))?;
-                let g = self.graph_read();
-                let report = kgq_cypher::analyze_query(&g, &q, Some(text));
-                self.record_analysis(&report.diagnostics);
-                report.render(text)
+                pipeline::analyze(Subject::Cypher(&self.graph_read(), &q, text))
             }
             "sparql" => {
                 let q = {
                     let mut st = self.store_write();
                     kgq_rdf::parse_select(text, &mut st).map_err(|e| e.to_string())?
                 };
-                let st = self.store_read();
-                let (report, rendered) = kgq_rdf::explain_parsed(&st, &q);
-                self.record_analysis(&report.diagnostics);
-                rendered
+                pipeline::analyze(Subject::Sparql(&self.store_read(), &q))
             }
             "rules" => {
                 let rules = {
                     let mut st = self.store_write();
                     kgq_logic::parse_program(&mut st, text).map_err(|e| e.to_string())?
                 };
-                let st = self.store_read();
-                let report = kgq_logic::analyze_program(&st, &rules);
-                self.record_analysis(&report.diagnostics);
-                report.render()
+                pipeline::analyze(Subject::Rules(&self.store_read(), &rules))
             }
-            other => {
-                return Err(format!(
-                    "unknown analyze kind `{other}` (expected query|cypher|sparql|rules)"
-                ))
-            }
+            other => return Err(pipeline::unknown_analyze_kind(other)),
         };
-        Ok(Outcome::ok(body, false))
+        Ok(self.tally(answer))
     }
 
     /// `FLUSH`: compacts the durable store (fold the overlay into a
@@ -674,20 +534,6 @@ fn parse_mutations(
         })
         .collect();
     Ok((triples, edges))
-}
-
-/// Appends the CLI's `# partial:` / `# degraded:` trailer lines; returns
-/// whether the result was partial.
-fn marker<T>(out: &mut String, res: &Governed<T>) -> bool {
-    let mut partial = false;
-    if let Completion::Partial(why) = &res.completion {
-        out.push_str(&format!("# partial: {why}\n"));
-        partial = true;
-    }
-    if res.degraded {
-        out.push_str("# degraded: exact budget exhausted, approximate estimate\n");
-    }
-    partial
 }
 
 #[cfg(test)]

@@ -27,6 +27,7 @@
 
 pub mod client;
 pub mod exec;
+pub mod pipeline;
 pub mod protocol;
 pub mod sched;
 pub mod server;

@@ -15,14 +15,15 @@
 
 use kgq::analytics;
 use kgq::core::{
-    analyze_expr, count_paths_analyzed, count_paths_governed, enumerate_paths,
-    enumerate_paths_governed, enumerate_paths_resumed, parse_expr, Budget, CancelToken, Completion,
-    Cursor, EvalError, Governed, Governor, PropertyView, QueryCache, UniformSampler,
+    enumerate_paths_governed, enumerate_paths_resumed, parse_expr, Budget, Cursor, EnumerationPage,
+    EvalError, Governed, Governor, PropertyView, QueryCache, UniformSampler,
 };
 use kgq::cypher;
 use kgq::graph::generate::{barabasi_albert, contact_network, gnm_labeled, ContactParams};
 use kgq::graph::io::{read_property, write_labeled, write_property};
+use kgq::graph::SchemaSummary;
 use kgq::rdf;
+use kgq_serve::pipeline::{self, RpqOp, Subject};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
@@ -52,14 +53,6 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn flag(args: &[String], name: &str, default: usize) -> usize {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn num_flag(args: &[String], name: &str) -> Result<Option<u64>, String> {
     match args.iter().position(|a| a == name) {
         None => Ok(None),
@@ -71,6 +64,11 @@ fn num_flag(args: &[String], name: &str) -> Result<Option<u64>, String> {
     }
 }
 
+/// A numeric flag with a default for when it is absent.
+fn flag(args: &[String], name: &str, default: usize) -> Result<usize, String> {
+    Ok(num_flag(args, name)?.map_or(default, |v| v as usize))
+}
+
 fn str_flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == name)
@@ -78,39 +76,26 @@ fn str_flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-/// Parses the resource-governance flags. `None` when no flag is present:
-/// the command then takes the ungoverned (zero-overhead) paths.
-fn budget_from(args: &[String]) -> Result<Option<Budget>, String> {
+fn has_flag(args: &[String], name: &str) -> bool {
+    args.iter().any(|a| a == name)
+}
+
+/// Parses the resource-governance flags; no flag means no limit.
+fn budget_from(args: &[String]) -> Result<Budget, String> {
     let mut budget = Budget::default();
-    let mut any = false;
     if let Some(ms) = num_flag(args, "--timeout")? {
         budget = budget.with_deadline(std::time::Duration::from_millis(ms));
-        any = true;
     }
     if let Some(n) = num_flag(args, "--max-steps")? {
         budget = budget.with_max_steps(n);
-        any = true;
     }
     if let Some(n) = num_flag(args, "--max-results")? {
         budget = budget.with_max_results(n);
-        any = true;
     }
     if let Some(n) = num_flag(args, "--max-memory-mb")? {
         budget = budget.with_max_memory(n.saturating_mul(1 << 20));
-        any = true;
     }
-    Ok(any.then_some(budget))
-}
-
-/// Appends the `# partial:` / `# degraded:` trailer lines that mark a
-/// governed result as incomplete or downgraded.
-fn completion_marker<T>(out: &mut String, res: &Governed<T>) {
-    if let Completion::Partial(why) = &res.completion {
-        out.push_str(&format!("# partial: {why}\n"));
-    }
-    if res.degraded {
-        out.push_str("# degraded: exact budget exhausted, approximate estimate\n");
-    }
+    Ok(budget)
 }
 
 fn load_graph(path: &str) -> Result<kgq::graph::PropertyGraph, String> {
@@ -120,13 +105,13 @@ fn load_graph(path: &str) -> Result<kgq::graph::PropertyGraph, String> {
 
 fn cmd_generate(args: &[String]) -> Result<String, String> {
     let kind = args.first().ok_or("generate needs a kind")?;
-    let seed = flag(args, "--seed", 42) as u64;
+    let seed = flag(args, "--seed", 42)? as u64;
     match kind.as_str() {
         "contact" => {
             let g = contact_network(&ContactParams {
-                people: flag(args, "--people", 50),
-                buses: flag(args, "--buses", 5),
-                addresses: flag(args, "--addresses", 20),
+                people: flag(args, "--people", 50)?,
+                buses: flag(args, "--buses", 5)?,
+                addresses: flag(args, "--addresses", 20)?,
                 seed,
                 ..ContactParams::default()
             });
@@ -134,8 +119,8 @@ fn cmd_generate(args: &[String]) -> Result<String, String> {
         }
         "er" => {
             let g = gnm_labeled(
-                flag(args, "--nodes", 100),
-                flag(args, "--edges", 400),
+                flag(args, "--nodes", 100)?,
+                flag(args, "--edges", 400)?,
                 &["v"],
                 &["p", "q"],
                 seed,
@@ -143,7 +128,7 @@ fn cmd_generate(args: &[String]) -> Result<String, String> {
             Ok(write_labeled(&g))
         }
         "ba" => {
-            let g = barabasi_albert(flag(args, "--nodes", 100), 3, "v", "link", seed);
+            let g = barabasi_albert(flag(args, "--nodes", 100)?, 3, "v", "link", seed);
             Ok(write_labeled(&g))
         }
         other => Err(format!("unknown generator `{other}`")),
@@ -157,169 +142,65 @@ fn cmd_query(args: &[String]) -> Result<String, String> {
     let mut g = load_graph(path)?;
     let expr =
         parse_expr(expr_text, g.labeled_mut().consts_mut()).map_err(|e| e.render(expr_text))?;
-    // Static analysis before compiling any product: emptiness,
-    // satisfiability, blowup and plan advice (DESIGN.md §10). With
-    // `--explain` the verdict IS the output — nothing is executed.
-    let schema = kgq::graph::SchemaSummary::from_property(&g);
-    let report = analyze_expr(&expr, &schema, Some((expr_text, g.labeled().consts())));
-    if rest.iter().any(|a| a == "--explain") {
-        return Ok(report.render(expr_text));
+    let schema = SchemaSummary::from_property(&g);
+    // With `--explain` the static-analysis verdict IS the output —
+    // nothing is executed (DESIGN.md §10).
+    if has_flag(rest, "--explain") {
+        return pipeline::analyze(Subject::Rpq(&g, &schema, &expr, expr_text)).into_result();
     }
-    let view = PropertyView::new(&g);
     let op = rest
         .first()
         .map(String::as_str)
         .filter(|s| !s.starts_with("--"))
         .unwrap_or("pairs");
-    let budget = budget_from(rest)?;
-    // Reachability-style ops share one compiled product via the query
-    // cache (keyed by the graph's generation stamp and the query's
-    // minimal-DFA signature). Capacity honors KGQ_CACHE_CAP.
+    let operands = rest.iter().skip(1).map(String::as_str);
+    let length = |what: &str| -> Result<usize, String> {
+        rest.get(1)
+            .and_then(|v| v.parse().ok())
+            .ok_or(format!("{what} needs K"))
+    };
+    let gov = Governor::new(&budget_from(rest)?);
+    let view = PropertyView::new(&g);
+    // Capacity honors KGQ_CACHE_CAP.
     let cache = QueryCache::from_env();
-    let verbose = rest.iter().any(|a| a == "--verbose");
     let mut out = String::new();
     match op {
-        "pairs" => {
-            if let Some(b) = &budget {
-                let gov = Governor::new(b);
-                let compiled =
-                    match cache.get_or_compile_governed(&view, g.generation(), &expr, &gov) {
-                        Ok(c) => c,
-                        // Budget exhausted before the automaton even built:
-                        // the answer is the empty prefix, reported as a
-                        // typed partial rather than a hard error.
-                        Err(EvalError::Interrupted(why)) => {
-                            out.push_str(&format!("# partial: {why}\n"));
-                            return Ok(out);
-                        }
-                        Err(e) => return Err(e.to_string()),
-                    };
-                let res = compiled
-                    .evaluator()
-                    .pairs_governed(&gov)
-                    .map_err(|e| e.to_string())?;
-                for (a, b) in &res.value {
-                    out.push_str(&format!(
-                        "{}\t{}\n",
-                        g.labeled().node_name(*a),
-                        g.labeled().node_name(*b)
-                    ));
-                }
-                completion_marker(&mut out, &res);
-            } else if let Some(compiled) =
-                cache.get_or_compile_checked(&view, g.generation(), &expr, &report)
-            {
-                for (a, b) in compiled.evaluator().pairs_planned(report.plan) {
-                    out.push_str(&format!(
-                        "{}\t{}\n",
-                        g.labeled().node_name(a),
-                        g.labeled().node_name(b)
-                    ));
-                }
-            }
-        }
-        "starts" => {
-            if let Some(b) = &budget {
-                let gov = Governor::new(b);
-                let compiled =
-                    match cache.get_or_compile_governed(&view, g.generation(), &expr, &gov) {
-                        Ok(c) => c,
-                        Err(EvalError::Interrupted(why)) => {
-                            out.push_str(&format!("# partial: {why}\n"));
-                            return Ok(out);
-                        }
-                        Err(e) => return Err(e.to_string()),
-                    };
-                let res = compiled
-                    .evaluator()
-                    .matching_starts_governed(&gov)
-                    .map_err(|e| e.to_string())?;
-                for n in &res.value {
-                    out.push_str(g.labeled().node_name(*n));
-                    out.push('\n');
-                }
-                completion_marker(&mut out, &res);
-            } else if let Some(compiled) =
-                cache.get_or_compile_checked(&view, g.generation(), &expr, &report)
-            {
-                for n in compiled.evaluator().matching_starts_planned(report.plan) {
-                    out.push_str(g.labeled().node_name(n));
-                    out.push('\n');
-                }
-            }
-        }
-        "count" => {
-            let k: usize = rest
-                .get(1)
-                .and_then(|v| v.parse().ok())
-                .ok_or("count needs K")?;
-            if let Some(b) = &budget {
-                let res = count_paths_governed(&view, &expr, k, b, CancelToken::new())
-                    .map_err(|e| e.to_string())?;
-                out.push_str(&format!("{}\n", res.value));
-                completion_marker(&mut out, &res);
-            } else {
-                // The analyzer's verdict routes the count: provably-empty
-                // short-circuits to 0, a dfa-blowup `Deny` re-routes to
-                // the FPRAS estimator with a degraded annotation.
-                let res =
-                    count_paths_analyzed(&view, &expr, k, &report).map_err(|e| e.to_string())?;
-                out.push_str(&format!("{}\n", res.value));
-                if res.degraded {
-                    out.push_str(
-                        "# degraded: exact counting denied (determinization blowup), \
-                         approximate estimate\n",
-                    );
-                }
-            }
-        }
         "enumerate" => {
-            let k: usize = rest
-                .get(1)
-                .and_then(|v| v.parse().ok())
-                .ok_or("enumerate needs K")?;
-            let resume: Option<Cursor> = match str_flag(rest, "--resume") {
-                Some(text) => Some(text.parse().map_err(|e| format!("--resume: {e}"))?),
-                None => None,
+            let k = length("enumerate")?;
+            let page = match str_flag(rest, "--resume") {
+                Some(text) => {
+                    let cursor: Cursor = text.parse().map_err(|e| format!("--resume: {e}"))?;
+                    enumerate_paths_resumed(&view, &expr, &cursor, &gov)
+                }
+                None => enumerate_paths_governed(&view, &expr, k, &gov),
             };
-            if budget.is_some() || resume.is_some() {
-                let gov = Governor::new(&budget.unwrap_or_default());
-                let res = match match &resume {
-                    Some(cursor) => enumerate_paths_resumed(&view, &expr, cursor, &gov),
-                    None => enumerate_paths_governed(&view, &expr, k, &gov),
-                } {
-                    Ok(res) => res,
-                    // Exhausted before the enumerator was built: empty
-                    // partial (no cursor — there is nothing to resume).
-                    Err(EvalError::Interrupted(why)) => {
-                        out.push_str(&format!("# partial: {why}\n"));
-                        return Ok(out);
-                    }
-                    Err(e) => return Err(e.to_string()),
-                };
-                for p in &res.value.paths {
-                    out.push_str(&p.render(g.labeled()));
-                    out.push('\n');
+            let res = match page {
+                Ok(res) => res,
+                // Exhausted before the enumerator was built: empty
+                // partial (no cursor — there is nothing to resume).
+                Err(EvalError::Interrupted(why)) => {
+                    let empty = EnumerationPage {
+                        paths: Vec::new(),
+                        cursor: None,
+                    };
+                    Governed::partial(empty, why)
                 }
-                if let Some(cursor) = &res.value.cursor {
-                    out.push_str(&format!("# cursor: {cursor}\n"));
-                }
-                completion_marker(&mut out, &res);
-            } else {
-                for p in enumerate_paths(&view, &expr, k) {
-                    out.push_str(&p.render(g.labeled()));
-                    out.push('\n');
-                }
+                Err(e) => return Err(e.to_string()),
+            };
+            for p in &res.value.paths {
+                out.push_str(&p.render(g.labeled()));
+                out.push('\n');
             }
+            if let Some(cursor) = &res.value.cursor {
+                out.push_str(&format!("# cursor: {cursor}\n"));
+            }
+            pipeline::trailer(&mut out, &res, pipeline::EXHAUSTED);
         }
         "sample" => {
-            let k: usize = rest
-                .get(1)
-                .and_then(|v| v.parse().ok())
-                .ok_or("sample needs K")?;
+            let k = length("sample")?;
             let n: usize = rest.get(2).and_then(|v| v.parse().ok()).unwrap_or(5);
             let sampler = UniformSampler::new(&view, &expr, k).map_err(|e| e.to_string())?;
-            let mut rng = StdRng::seed_from_u64(flag(rest, "--seed", 1) as u64);
+            let mut rng = StdRng::seed_from_u64(flag(rest, "--seed", 1)? as u64);
             for _ in 0..n {
                 match sampler.sample(&mut rng) {
                     Some(p) => {
@@ -330,9 +211,12 @@ fn cmd_query(args: &[String]) -> Result<String, String> {
                 }
             }
         }
-        other => return Err(format!("unknown query op `{other}`")),
+        _ => {
+            let op = RpqOp::parse(std::iter::once(op).chain(operands))?;
+            out = pipeline::rpq(&g, &schema, &cache, op, &expr, expr_text, &gov).into_result()?;
+        }
     }
-    if verbose {
+    if has_flag(rest, "--verbose") {
         eprintln!("cache: {}", cache.stats());
     }
     Ok(out)
@@ -344,28 +228,13 @@ fn cmd_cypher(args: &[String]) -> Result<String, String> {
     };
     let g = load_graph(path)?;
     let q = cypher::parse_query(query_text).map_err(|e| e.render(query_text))?;
-    if rest.iter().any(|a| a == "--explain") {
-        let report = cypher::analyze_query(&g, &q, Some(query_text));
-        return Ok(report.render(query_text));
+    if has_flag(rest, "--explain") {
+        return pipeline::analyze(Subject::Cypher(&g, &q, query_text)).into_result();
     }
     let cache = QueryCache::from_env();
-    let verbose = rest.iter().any(|a| a == "--verbose");
-    let mut out = String::new();
-    if let Some(b) = budget_from(rest)? {
-        let gov = Governor::new(&b);
-        let res = cypher::execute_governed(&g, &q, &cache, &gov).map_err(|e| e.to_string())?;
-        for row in &res.value {
-            out.push_str(&row.join("\t"));
-            out.push('\n');
-        }
-        completion_marker(&mut out, &res);
-    } else {
-        for row in cypher::execute_cached(&g, &q, &cache) {
-            out.push_str(&row.join("\t"));
-            out.push('\n');
-        }
-    }
-    if verbose {
+    let gov = Governor::new(&budget_from(rest)?);
+    let out = pipeline::cypher(&g, &cache, &q, &gov).into_result()?;
+    if has_flag(rest, "--verbose") {
         eprintln!("cache: {}", cache.stats());
     }
     Ok(out)
@@ -422,31 +291,30 @@ fn cmd_analytics(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
+fn load_store(path: &str) -> Result<rdf::TripleStore, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    rdf::parse_ntriples(&text).map_err(|e| e.to_string())
+}
+
 fn cmd_rdf(args: &[String]) -> Result<String, String> {
     let [path, rest @ ..] = args else {
         return Err("rdf needs FILE".into());
     };
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut st = rdf::parse_ntriples(&text).map_err(|e| e.to_string())?;
     match rest.first().map(String::as_str) {
         Some("path") => {
             let expr = rest.get(1).ok_or("path needs EXPR")?;
             let mut out = String::new();
-            for (a, b) in rdf::rpq_pairs(&st, expr).map_err(|e| e.to_string())? {
+            for (a, b) in rdf::rpq_pairs(&load_store(path)?, expr).map_err(|e| e.to_string())? {
                 out.push_str(&format!("{a}\t{b}\n"));
             }
             Ok(out)
         }
         Some("select") => {
             let q = rest.get(1).ok_or("select needs a query")?;
-            let mut out = String::new();
-            for row in rdf::select(&mut st, q).map_err(|e| e.to_string())? {
-                out.push_str(&row.join("\t"));
-                out.push('\n');
-            }
-            Ok(out)
+            cmd_sparql(&[path.clone(), q.clone()])
         }
         Some("infer") => {
+            let mut st = load_store(path)?;
             let stats = rdf::materialize_rdfs(&mut st);
             let mut out = rdf::write_ntriples(&st);
             out.push_str(&format!(
@@ -466,50 +334,19 @@ fn cmd_sparql(args: &[String]) -> Result<String, String> {
     let [path, query, rest @ ..] = args else {
         return Err("sparql needs FILE and QUERY".into());
     };
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut st = rdf::parse_ntriples(&text).map_err(|e| e.to_string())?;
-    if rest.iter().any(|a| a == "--explain") {
-        return rdf::explain_select(&mut st, query).map_err(|e| e.to_string());
+    let mut st = load_store(path)?;
+    let mut q = rdf::parse_select(query, &mut st).map_err(|e| e.to_string())?;
+    if has_flag(rest, "--explain") {
+        return pipeline::analyze(Subject::Sparql(&st, &q)).into_result();
     }
-    let mut out = String::new();
-    if rest.iter().any(|a| a == "--count") {
-        // Count surface: exact under budget, XOR-hash estimate past it
-        // (the `# degraded` marker flags the estimate).
-        let mut q = rdf::parse_select(query, &mut st).map_err(|e| e.to_string())?;
-        if q.count.is_none() {
-            q.count = Some("count".to_owned());
-            q.vars.clear();
-        }
-        let budget = budget_from(rest)?.unwrap_or_default();
-        let gov = Governor::new(&budget);
-        let sk = rdf::StoreSketch::build(&st);
-        let res = rdf::select_governed_with(&st, &q, Some(&sk), &gov).map_err(|e| e.to_string())?;
-        for row in &res.rows.value {
-            out.push_str(&row.join("\t"));
-            out.push('\n');
-        }
-        completion_marker(&mut out, &res.rows);
-        return Ok(out);
+    // `--count` asks any SELECT for its answer count: exact under
+    // budget, XOR-hash estimate past it (`# degraded` flags the estimate).
+    if has_flag(rest, "--count") && q.count.is_none() {
+        q.count = Some("count".to_owned());
+        q.vars.clear();
     }
-    match budget_from(rest)? {
-        Some(budget) => {
-            let q = rdf::parse_select(query, &mut st).map_err(|e| e.to_string())?;
-            let gov = Governor::new(&budget);
-            let res = rdf::select_governed(&st, &q, &gov).map_err(|e| e.to_string())?;
-            for row in &res.value {
-                out.push_str(&row.join("\t"));
-                out.push('\n');
-            }
-            completion_marker(&mut out, &res);
-        }
-        None => {
-            for row in rdf::select(&mut st, query).map_err(|e| e.to_string())? {
-                out.push_str(&row.join("\t"));
-                out.push('\n');
-            }
-        }
-    }
-    Ok(out)
+    let gov = Governor::new(&budget_from(rest)?);
+    pipeline::sparql(&st, || rdf::StoreSketch::build(&st), &q, &gov).into_result()
 }
 
 /// `kgq analyze (query|cypher|sparql|rules) FILE TEXT` — run the
@@ -518,46 +355,37 @@ fn cmd_sparql(args: &[String]) -> Result<String, String> {
 /// an N-Triples file; for `rules`, TEXT may also name a file holding
 /// the program (one `head :- body .` rule per line).
 fn cmd_analyze(args: &[String]) -> Result<String, String> {
-    let [kind, path, text_arg, ..] = args else {
+    let [kind, path, text, ..] = args else {
         return Err(
             "analyze needs (query|cypher|sparql|rules), a data FILE and the query text".into(),
         );
     };
-    match kind.as_str() {
+    let answer = match kind.as_str() {
         "query" => {
             let mut g = load_graph(path)?;
-            let expr = parse_expr(text_arg, g.labeled_mut().consts_mut())
-                .map_err(|e| e.render(text_arg))?;
-            let schema = kgq::graph::SchemaSummary::from_property(&g);
-            let report = analyze_expr(&expr, &schema, Some((text_arg, g.labeled().consts())));
-            Ok(report.render(text_arg))
+            let expr =
+                parse_expr(text, g.labeled_mut().consts_mut()).map_err(|e| e.render(text))?;
+            let schema = SchemaSummary::from_property(&g);
+            pipeline::analyze(Subject::Rpq(&g, &schema, &expr, text))
         }
         "cypher" => {
-            let g = load_graph(path)?;
-            let q = cypher::parse_query(text_arg).map_err(|e| e.render(text_arg))?;
-            Ok(cypher::analyze_query(&g, &q, Some(text_arg)).render(text_arg))
+            let q = cypher::parse_query(text).map_err(|e| e.render(text))?;
+            pipeline::analyze(Subject::Cypher(&load_graph(path)?, &q, text))
         }
         "sparql" => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let mut st = rdf::parse_ntriples(&text).map_err(|e| e.to_string())?;
-            let q = rdf::parse_select(text_arg, &mut st).map_err(|e| e.to_string())?;
-            let (_report, rendered) = rdf::explain_parsed(&st, &q);
-            Ok(rendered)
+            let mut st = load_store(path)?;
+            let q = rdf::parse_select(text, &mut st).map_err(|e| e.to_string())?;
+            pipeline::analyze(Subject::Sparql(&st, &q))
         }
         "rules" => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let mut st = rdf::parse_ntriples(&text).map_err(|e| e.to_string())?;
-            let program = match std::fs::read_to_string(text_arg) {
-                Ok(file_text) => file_text,
-                Err(_) => text_arg.clone(),
-            };
+            let mut st = load_store(path)?;
+            let program = std::fs::read_to_string(text).unwrap_or_else(|_| text.clone());
             let rules = kgq::logic::parse_program(&mut st, &program).map_err(|e| e.to_string())?;
-            Ok(kgq::logic::analyze_program(&st, &rules).render())
+            pipeline::analyze(Subject::Rules(&st, &rules))
         }
-        other => Err(format!(
-            "unknown analyze kind `{other}` (expected query|cypher|sparql|rules)"
-        )),
-    }
+        other => return Err(pipeline::unknown_analyze_kind(other)),
+    };
+    answer.into_result()
 }
 
 /// `kgq store (init|append|compact|verify|dump)` — manage a durable
@@ -574,9 +402,7 @@ fn cmd_store(args: &[String]) -> Result<String, String> {
         "init" => {
             let (mut store, _) = kgq_store::DurableStore::open(path).map_err(io_err)?;
             if let Some(nt_path) = str_flag(rest, "--nt") {
-                let text =
-                    std::fs::read_to_string(nt_path).map_err(|e| format!("{nt_path}: {e}"))?;
-                let parsed = rdf::parse_ntriples(&text).map_err(|e| e.to_string())?;
+                let parsed = load_store(nt_path)?;
                 for t in parsed.iter() {
                     store.stage_insert(
                         parsed.term_str(t.s),
@@ -599,8 +425,7 @@ fn cmd_store(args: &[String]) -> Result<String, String> {
                 return Err("store append needs DIR and FILE.nt".into());
             };
             let delete = rest.iter().any(|a| a == "--delete");
-            let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
-            let parsed = rdf::parse_ntriples(&text).map_err(|e| e.to_string())?;
+            let parsed = load_store(file)?;
             let (mut store, _) = kgq_store::DurableStore::open(path).map_err(io_err)?;
             for t in parsed.iter() {
                 let (s, p, o) = (
@@ -664,10 +489,7 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
     };
     let mut g = load_graph(path)?;
     let mut st = match str_flag(rest, "--nt") {
-        Some(nt_path) => {
-            let text = std::fs::read_to_string(nt_path).map_err(|e| format!("{nt_path}: {e}"))?;
-            rdf::parse_ntriples(&text).map_err(|e| e.to_string())?
-        }
+        Some(nt_path) => load_store(nt_path)?,
         None => rdf::TripleStore::new(),
     };
     // `--store DIR`: recover the durable store and fold its committed
@@ -700,20 +522,21 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
         }
         None => None,
     };
+    let workers = flag(rest, "--workers", 4)?;
     let cfg = kgq_serve::ServerConfig {
-        addr: format!("127.0.0.1:{}", flag(rest, "--port", 0)),
-        workers: flag(rest, "--workers", 4),
-        caps: budget_from(rest)?.unwrap_or_default(),
+        addr: format!("127.0.0.1:{}", flag(rest, "--port", 0)?),
+        workers,
+        caps: budget_from(rest)?,
     };
     let handle = kgq_serve::serve_with_store(g, st, durable, cfg).map_err(|e| e.to_string())?;
     println!("listening on {}", handle.addr());
     use std::io::Write;
     std::io::stdout().flush().ok();
     handle.wait();
-    let stats = handle.snapshot().stats.render(
-        &handle.snapshot().cache().stats(),
-        flag(rest, "--workers", 4),
-    );
+    let stats = handle
+        .snapshot()
+        .stats
+        .render(&handle.snapshot().cache().stats(), workers);
     handle.shutdown();
     eprintln!("kgq serve: shut down cleanly; final stats:\n{stats}");
     Ok(String::new())
@@ -752,10 +575,10 @@ fn cmd_scale(args: &[String]) -> Result<String, String> {
 
     match sub.as_str() {
         "gen" => {
-            let n = flag(rest, "--nodes", 100_000) as u32;
-            let m = flag(rest, "--m", 10) as u32;
-            let n_labels = flag(rest, "--labels", 4) as u32;
-            let seed = flag(rest, "--seed", 42) as u64;
+            let n = flag(rest, "--nodes", 100_000)? as u32;
+            let m = flag(rest, "--m", 10)? as u32;
+            let n_labels = flag(rest, "--labels", 4)? as u32;
+            let seed = flag(rest, "--seed", 42)? as u64;
             let edge_ids = rest.iter().any(|a| a == "--edge-ids");
             let stream = kgq::graph::generate::ba_edge_stream(n, m, n_labels, seed);
             let n_edges = stream.len();
@@ -820,10 +643,10 @@ fn cmd_scale(args: &[String]) -> Result<String, String> {
             let dfa = LabelDfa::compile(&expr, |s| view.label_by_name(consts.resolve(s)))
                 .map_err(|e| e.to_string())?;
             let n = view.node_count() as u32;
-            let from = flag(more, "--from", 0) as u32;
-            let span = flag(more, "--span", n as usize) as u32;
+            let from = flag(more, "--from", 0)? as u32;
+            let span = flag(more, "--span", n as usize)? as u32;
             let sources = from..from.saturating_add(span).min(n);
-            let chunks = flag(more, "--chunks", kgq::core::parallel::effective_threads());
+            let chunks = flag(more, "--chunks", kgq::core::parallel::effective_threads())?;
             let op = more
                 .first()
                 .map(String::as_str)
@@ -831,34 +654,26 @@ fn cmd_scale(args: &[String]) -> Result<String, String> {
                 .unwrap_or("pairs");
             let adj = PackedAdjacency(view);
             let ev = ScaleEvaluator::new(&adj, dfa);
-            let budget = budget_from(more)?;
+            let gov = Governor::new(&budget_from(more)?);
             let mut out = String::new();
             match op {
                 "pairs" => {
                     let res = ev
-                        .pairs_governed(
-                            sources,
-                            chunks,
-                            &Governor::new(&budget.unwrap_or_default()),
-                        )
+                        .pairs_governed(sources, chunks, &gov)
                         .map_err(|e| e.to_string())?;
                     for (s, t) in &res.value {
                         out.push_str(&format!("{s}\t{t}\n"));
                     }
-                    completion_marker(&mut out, &res);
+                    pipeline::trailer(&mut out, &res, pipeline::EXHAUSTED);
                 }
                 "starts" => {
                     let res = ev
-                        .matching_starts_governed(
-                            sources,
-                            chunks,
-                            &Governor::new(&budget.unwrap_or_default()),
-                        )
+                        .matching_starts_governed(sources, chunks, &gov)
                         .map_err(|e| e.to_string())?;
                     for s in &res.value {
                         out.push_str(&format!("{s}\n"));
                     }
-                    completion_marker(&mut out, &res);
+                    pipeline::trailer(&mut out, &res, pipeline::EXHAUSTED);
                 }
                 other => return Err(format!("unknown scale query op `{other}`")),
             }
@@ -876,26 +691,19 @@ fn cmd_scale(args: &[String]) -> Result<String, String> {
             };
             let labels = (dense(la)?, dense(lb)?, dense(lc)?);
             let n = view.node_count() as u32;
-            let from = flag(more, "--from", 0) as u32;
-            let span = flag(more, "--span", n as usize) as u32;
+            let from = flag(more, "--from", 0)? as u32;
+            let span = flag(more, "--span", n as usize)? as u32;
             let arange = from..from.saturating_add(span).min(n);
-            let chunks = flag(more, "--chunks", kgq::core::parallel::effective_threads());
-            let budget = budget_from(more)?;
+            let chunks = flag(more, "--chunks", kgq::core::parallel::effective_threads())?;
+            let gov = Governor::new(&budget_from(more)?);
             let adj = PackedAdjacency(view);
-            let res = triangle_count(
-                &adj,
-                labels,
-                arange,
-                chunks,
-                &Governor::new(&budget.unwrap_or_default()),
-                10,
-            )
-            .map_err(|e| e.to_string())?;
+            let res = triangle_count(&adj, labels, arange, chunks, &gov, 10)
+                .map_err(|e| e.to_string())?;
             let mut out = format!("{} triangles\n", res.value.count);
             for (a, b, c) in &res.value.sample {
                 out.push_str(&format!("{a}\t{b}\t{c}\n"));
             }
-            completion_marker(&mut out, &res);
+            pipeline::trailer(&mut out, &res, pipeline::EXHAUSTED);
             Ok(out)
         }
         other => Err(format!(

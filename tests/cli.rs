@@ -242,6 +242,30 @@ fn bad_inputs_fail_cleanly() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("error"));
     let out = run(&["analytics", path.to_str().unwrap(), "nonsense"]);
     assert!(!out.status.success());
+    // A numeric flag with an unparsable value is a typed error, never a
+    // silent fall back to the default.
+    let seg = std::env::temp_dir().join("kgq-cli-tests/flags.seg");
+    let seg = seg.to_str().unwrap();
+    stdout(&run(&["scale", "gen", seg, "--nodes", "200", "--m", "2"]));
+    let p = path.to_str().unwrap();
+    for (args, flag) in [
+        (vec!["serve", p, "--port", "x"], "--port"),
+        (vec!["serve", p, "--workers", "x"], "--workers"),
+        (vec!["scale", "query", seg, "l0", "--span", "x"], "--span"),
+        (
+            vec!["scale", "query", seg, "l0", "--chunks", "x"],
+            "--chunks",
+        ),
+        (vec!["generate", "er", "--seed", "x"], "--seed"),
+    ] {
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("error: {flag} needs a number\n"),
+            "{args:?}"
+        );
+    }
 }
 
 #[test]

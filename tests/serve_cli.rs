@@ -163,3 +163,166 @@ fn server_side_caps_flag_applies_to_all_requests() {
     assert!(stat(&stats, "partials").unwrap() >= 1);
     stop(child, &addr);
 }
+
+/// The skew-adversarial `hubpair` shape of `exp_bgp`, with leaves
+/// interleaved across hubs: every pattern has the same one-level
+/// cardinality, so the greedy planner tie-breaks to `?a < ?c < ?b < ?h`
+/// while the sketch planner leads with the 8-subject `?h` — and the two
+/// orders reach different binding prefixes under a result budget.
+fn skew_nt() -> String {
+    let mut nt = String::new();
+    for i in 0..512 {
+        nt.push_str(&format!("<h{}> <spoke> <n{i}> .\n", i % 8));
+        nt.push_str(&format!("<n{i}> <near> <c{}> .\n", i / 16));
+    }
+    nt
+}
+
+/// The contract `kgq_serve::pipeline` exists for: for every query verb,
+/// what the batch CLI prints is byte for byte what `Snapshot::execute`
+/// answers over the same files — with no budget and with a tripping one
+/// (`--max-results` for row verbs; a COUNT yields one number whatever
+/// the result budget, so counts trip on `--max-steps` instead).
+#[test]
+fn cli_output_equals_snapshot_execute_for_every_verb() {
+    use kgq_serve::{Snapshot, Verb};
+    let graph_text = stdout(&run(&[
+        "generate", "contact", "--people", "30", "--seed", "7",
+    ]));
+    let graph = temp_file("parity.kgq", &graph_text);
+    let nt = temp_file("parity-skew.nt", &skew_nt());
+    let (g, n) = (graph.to_str().unwrap(), nt.to_str().unwrap());
+    let snap = Snapshot::new(
+        kgq::graph::io::read_property(&graph_text).unwrap(),
+        kgq::rdf::parse_ntriples(&skew_nt()).unwrap(),
+        kgq::core::Budget::unlimited(),
+    );
+
+    let hubpair = "{ ?a <near> ?c . ?b <near> ?c . ?h <spoke> ?a . ?h <spoke> ?b . }";
+    let rows = format!("SELECT ?a ?b ?h WHERE {hubpair}");
+    let count = format!("SELECT (COUNT(*) AS ?n) WHERE {hubpair}");
+    // Drift 1 is only pinned if the planners really disagree here.
+    let explained = stdout(&run(&["sparql", n, &rows, "--explain"]));
+    assert!(
+        explained.contains("sketch planner overrides"),
+        "{explained}"
+    );
+
+    let star = "(rides + contact + lives)*";
+    let cy = "MATCH (p:person)-[:rides]->(b:bus) RETURN p, b";
+    let results = |n| Caps {
+        max_results: Some(n),
+        ..Caps::default()
+    };
+    let steps = |n| Caps {
+        max_steps: Some(n),
+        ..Caps::default()
+    };
+    // (CLI arguments, wire verb, wire payload, tripping caps).
+    let cases: Vec<(Vec<&str>, Verb, String, Caps)> = vec![
+        (
+            vec!["query", g, star, "pairs"],
+            Verb::Query,
+            format!("pairs\n{star}"),
+            results(7),
+        ),
+        (
+            vec!["query", g, star, "starts"],
+            Verb::Query,
+            format!("starts\n{star}"),
+            results(3),
+        ),
+        (
+            vec!["query", g, star, "count", "4"],
+            Verb::Query,
+            format!("count 4\n{star}"),
+            steps(10),
+        ),
+        (
+            vec!["cypher", g, cy],
+            Verb::Cypher,
+            cy.to_owned(),
+            results(1),
+        ),
+        (
+            vec!["sparql", n, &rows],
+            Verb::Sparql,
+            rows.clone(),
+            results(5),
+        ),
+        (
+            vec!["sparql", n, &count],
+            Verb::Sparql,
+            count.clone(),
+            steps(50),
+        ),
+        (
+            vec!["sparql", n, &rows, "--count"],
+            Verb::Sparql,
+            count.clone(),
+            steps(50),
+        ),
+    ];
+    for (cli_args, verb, payload, tripping) in cases {
+        for caps in [Caps::none(), tripping] {
+            let mut args = cli_args.clone();
+            let limit = caps.max_results.or(caps.max_steps).map(|n| n.to_string());
+            if let Some(limit) = &limit {
+                let flag = match caps.max_results {
+                    Some(_) => "--max-results",
+                    None => "--max-steps",
+                };
+                args.extend([flag, limit]);
+            }
+            let out = run(&args);
+            // An `ERR` body is what the CLI prints after `error: `.
+            let cli = if out.status.success() {
+                String::from_utf8_lossy(&out.stdout).into_owned()
+            } else {
+                let err = String::from_utf8_lossy(&out.stderr);
+                err.trim_start_matches("error: ").trim_end().to_owned()
+            };
+            let srv = snap.execute(verb, &caps, &payload, kgq::core::CancelToken::new());
+            assert_eq!(srv.ok, out.status.success(), "{args:?}: {}", srv.body);
+            assert_eq!(srv.body, cli, "{args:?}");
+            if caps.max_results.is_some() {
+                assert!(srv.partial, "{args:?} did not trip: {cli}");
+                assert!(cli.ends_with("# partial: result budget reached\n"), "{cli}");
+            }
+        }
+    }
+    // The step-starved counts took different exits, both typed: the
+    // path count errs out, the BGP count degrades to a lower bound.
+    assert!(stdout(&run(&["sparql", n, &count, "--max-steps", "50"]))
+        .ends_with("# degraded: exact budget exhausted, approximate estimate\n"));
+
+    // Drift 2: a budget does not switch the analyzer gate off. A
+    // provably-empty language compiles nothing under either front-end,
+    // and both count the short-circuit where `--verbose` / `STATS` show it.
+    let out = run(&[
+        "query",
+        g,
+        "ghost",
+        "pairs",
+        "--max-results",
+        "5",
+        "--verbose",
+    ]);
+    assert!(out.status.success() && out.stdout.is_empty());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("short_circuits=1") && err.contains("misses=0"),
+        "{err}"
+    );
+    let before = snap.cache().stats();
+    let srv = snap.execute(
+        Verb::Query,
+        &results(5),
+        "pairs\nghost",
+        kgq::core::CancelToken::new(),
+    );
+    assert!(srv.ok && srv.body.is_empty(), "{}", srv.body);
+    let after = snap.cache().stats();
+    assert_eq!(after.short_circuits, before.short_circuits + 1);
+    assert_eq!(after.misses, before.misses);
+}

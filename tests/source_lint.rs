@@ -26,9 +26,10 @@
 //!    server crate carries a rank, and a static walk of the acquisition
 //!    sites proves ranks never decrease while earlier guards are live,
 //!    so the documented order is deadlock-free by construction.
-//! 7. **analyzer coverage** — every query entrypoint (CLI subcommands,
-//!    engine evaluators, the server executor) routes through a static
-//!    analyzer before executing; dropping the consult fails tier-1.
+//! 7. **analyzer coverage** — every query entrypoint (the request
+//!    pipeline the CLI and the server share, and the engine evaluators)
+//!    routes through a static analyzer before executing; dropping the
+//!    consult fails tier-1.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -254,8 +255,7 @@ fn fault_names_in(src: &str) -> Vec<String> {
 
 #[test]
 fn fault_site_registry_is_complete_and_exact() {
-    // Collect the distinct site names used anywhere in library sources
-    // (one name may mark several code sites, e.g. `eval::bfs`).
+    // Collect the distinct site names used anywhere in library sources.
     let mut used = BTreeSet::new();
     for path in crate_sources() {
         let src = fs::read_to_string(&path).expect("readable source file");
@@ -590,37 +590,26 @@ fn serve_lock_acquisitions_follow_the_rank_order() {
 /// pins each query entrypoint to the static-analysis consult it is
 /// required to make before (or instead of) executing:
 ///
-/// - CLI subcommands in `src/main.rs` either call an analyzer directly
-///   or route through library evaluators that do;
-/// - the engine evaluators (`kgq-rdf`, `kgq-cypher`, `kgq-logic`)
-///   consult their analyzers on every governed and ungoverned path the
-///   CLI and server reach;
-/// - the LFTJ executor independently re-verifies planner output;
-/// - the server executor analyzes every query verb it dispatches.
+/// - the request pipeline (`kgq-serve::pipeline`), the one body per
+///   verb that both the CLI and the server executor call;
+/// - the engine evaluators (`kgq-rdf`, `kgq-cypher`, `kgq-logic`) the
+///   pipeline and library callers reach, and their ungoverned shims;
+/// - the LFTJ executor, which independently re-verifies planner output.
 const ANALYZER_COVERAGE: &[(&str, &str, &[&str])] = &[
-    ("src/main.rs", "cmd_query", &["analyze_expr("]),
+    ("crates/serve/src/pipeline.rs", "rpq", &["analyze_expr("]),
     (
-        "src/main.rs",
-        "cmd_cypher",
-        &["analyze_query(", "execute_cached(", "execute_governed("],
+        "crates/serve/src/pipeline.rs",
+        "cypher",
+        &["analyze_query(", "execute_governed("],
     ),
     (
-        "src/main.rs",
-        "cmd_sparql",
-        &[
-            "rdf::explain_select(",
-            "rdf::select(",
-            "rdf::select_governed(",
-        ],
+        "crates/serve/src/pipeline.rs",
+        "sparql",
+        &["select_governed_with("],
     ),
     (
-        "src/main.rs",
-        "cmd_rdf",
-        &["rdf::rpq_pairs(", "rdf::select("],
-    ),
-    (
-        "src/main.rs",
-        "cmd_analyze",
+        "crates/serve/src/pipeline.rs",
+        "analyze",
         &[
             "analyze_expr(",
             "analyze_query(",
@@ -631,17 +620,16 @@ const ANALYZER_COVERAGE: &[(&str, &str, &[&str])] = &[
     (
         "crates/cypher/src/exec.rs",
         "execute_cached",
-        &["analyze_query("],
+        &["execute_governed("],
     ),
     (
         "crates/cypher/src/exec.rs",
         "execute_governed",
         &["analyze_query("],
     ),
-    ("crates/rdf/src/sparql.rs", "select", &["analyze_bgp("]),
     (
         "crates/rdf/src/sparql.rs",
-        "select_governed",
+        "select",
         &["select_governed_with("],
     ),
     (
@@ -666,23 +654,6 @@ const ANALYZER_COVERAGE: &[(&str, &str, &[&str])] = &[
         "crates/logic/src/rules.rs",
         "fixpoint_governed",
         &["analyze_program("],
-    ),
-    ("crates/serve/src/exec.rs", "run_rpq", &["analyze_expr("]),
-    (
-        "crates/serve/src/exec.rs",
-        "run_cypher",
-        &["analyze_query("],
-    ),
-    ("crates/serve/src/exec.rs", "run_sparql", &["analyze_bgp("]),
-    (
-        "crates/serve/src/exec.rs",
-        "run_analyze",
-        &[
-            "analyze_expr(",
-            "analyze_query(",
-            "explain_parsed(",
-            "analyze_program(",
-        ],
     ),
 ];
 
