@@ -12,7 +12,12 @@
 //! share one entry; and any mutation of the graph (which bumps its
 //! generation) invalidates every entry compiled against the old contents.
 //!
-//! Eviction is LRU over a logical tick counter; capacity is configurable
+//! Generations only grow, so the cache remembers the newest one it has
+//! seen: the first insert at a newer generation drops every older entry
+//! (no lookup can reach them any more), and a compile that finishes at an
+//! older generation is handed to its caller without being cached.
+//! Within one generation, eviction is LRU over a logical tick counter;
+//! capacity is configurable
 //! (`QueryCache::with_capacity`, default 64; `QueryCache::from_env` reads
 //! the `KGQ_CACHE_CAP` environment variable — values that do not parse
 //! as a positive integer fall back with a one-time warning, and `0` is
@@ -123,7 +128,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that required compilation.
     pub misses: u64,
-    /// Entries dropped to stay within capacity.
+    /// Entries dropped to stay within capacity or because a newer
+    /// generation made them unreachable.
     pub evictions: u64,
     /// Queries the static analyzer proved empty, answered with no
     /// compilation at all (see [`QueryCache::note_short_circuit`]).
@@ -152,6 +158,8 @@ struct Entry {
 /// The lock-protected mutable state: map, LRU clock, counters.
 struct Inner {
     tick: u64,
+    /// The newest generation any insert has carried.
+    newest: u64,
     map: HashMap<CacheKey, Entry>,
     hits: u64,
     misses: u64,
@@ -190,6 +198,7 @@ impl QueryCache {
             capacity: capacity.max(1),
             inner: Mutex::new(Inner {
                 tick: 0,
+                newest: 0,
                 map: HashMap::new(),
                 hits: 0,
                 misses: 0,
@@ -321,9 +330,19 @@ impl QueryCache {
 
     /// The insert half: under the lock, adopt a racing thread's entry if
     /// one appeared since [`QueryCache::lookup`], otherwise evict to
-    /// capacity and insert `compiled`. Returns the entry that won.
+    /// capacity and insert `compiled`. Returns the entry that won. A key
+    /// older than the newest generation seen is returned uncached; the
+    /// first key of a newer generation first drops every older entry.
     fn insert_if_absent(&self, key: CacheKey, compiled: Arc<CompiledQuery>) -> Arc<CompiledQuery> {
         let mut inner = self.inner();
+        if key.generation < inner.newest {
+            return compiled;
+        }
+        if key.generation > inner.newest {
+            inner.newest = key.generation;
+            inner.evictions += inner.map.len() as u64;
+            inner.map.clear();
+        }
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(entry) = inner.map.get_mut(&key) {
@@ -385,7 +404,8 @@ impl QueryCache {
         self.inner().misses
     }
 
-    /// Entries dropped to stay within capacity.
+    /// Entries dropped to stay within capacity or because a newer
+    /// generation made them unreachable.
     pub fn evictions(&self) -> u64 {
         self.inner().evictions
     }
@@ -619,8 +639,10 @@ mod tests {
         const THREADS: usize = 8;
         const ROUNDS: usize = 20;
 
-        let run_generation = |generation: u64| -> HashSet<usize> {
-            let mut ptrs = HashSet::new();
+        // Every product a lookup returned, held alive so that no address
+        // can be reused between the two generations' pointer sets.
+        let run_generation = |generation: u64| -> Vec<Arc<Product>> {
+            let mut products = Vec::new();
             std::thread::scope(|s| {
                 let handles: Vec<_> = (0..THREADS)
                     .map(|t| {
@@ -638,17 +660,20 @@ mod tests {
                                     solo[i],
                                     "thread {t} expr {i} diverged from the solo run"
                                 );
-                                seen.push(Arc::as_ptr(c.product()) as usize);
+                                seen.push(Arc::clone(c.product()));
                             }
                             seen
                         })
                     })
                     .collect();
                 for h in handles {
-                    ptrs.extend(h.join().expect("no worker panic"));
+                    products.extend(h.join().expect("no worker panic"));
                 }
             });
-            ptrs
+            products
+        };
+        let ptrs = |products: &[Arc<Product>]| -> HashSet<usize> {
+            products.iter().map(|p| Arc::as_ptr(p) as usize).collect()
         };
 
         let gen0 = run_generation(0);
@@ -661,12 +686,43 @@ mod tests {
         // "Bump": all clients move to generation 1, as after a store
         // mutation. No generation-0 product may ever be served again.
         let gen1 = run_generation(1);
-        let survivors: HashSet<usize> = gen1.intersection(&gen0).copied().collect();
+        let survivors: HashSet<usize> = ptrs(&gen1).intersection(&ptrs(&gen0)).copied().collect();
         assert!(
             survivors.is_empty(),
             "stale products served after the generation bump: {survivors:?}"
         );
-        assert_eq!(cache.len(), 2 * exprs.len());
+        // The first generation-1 insert dropped every generation-0 entry.
+        assert_eq!(cache.len(), exprs.len());
+        assert_eq!(cache.evictions(), exprs.len() as u64);
+    }
+
+    /// A newer generation drops every older entry on its first insert,
+    /// counting each as an eviction; a compile that finishes at an older
+    /// generation is still answered correctly but never cached.
+    #[test]
+    fn older_generations_are_dropped_and_late_compiles_are_not_cached() {
+        let (mut g, _, _) = setup();
+        let ea = parse_expr("p", g.consts_mut()).unwrap();
+        let eb = parse_expr("q", g.consts_mut()).unwrap();
+        let view = LabeledView::new(&g);
+        let cache = QueryCache::new();
+        cache.get_or_compile(&view, 3, &ea);
+        cache.get_or_compile(&view, 3, &eb);
+        assert_eq!((cache.len(), cache.evictions()), (2, 0));
+        cache.get_or_compile(&view, 4, &ea);
+        assert_eq!((cache.len(), cache.evictions()), (1, 2));
+
+        // A reader still on generation 3 compiles late: it gets a correct
+        // answer, the cache keeps only the generation-4 entry, and the
+        // next generation-3 lookup misses again.
+        let late = cache.get_or_compile(&view, 3, &eb);
+        assert_eq!(late.evaluator().pairs(), Evaluator::new(&view, &eb).pairs());
+        assert_eq!((cache.len(), cache.evictions()), (1, 2));
+        let misses = cache.misses();
+        let again = cache.get_or_compile(&view, 3, &eb);
+        assert_eq!(cache.misses(), misses + 1);
+        assert!(!Arc::ptr_eq(late.product(), again.product()));
+        assert_eq!(cache.len(), 1);
     }
 
     /// Concurrent governed compiles where some clients' budgets trip:

@@ -37,7 +37,7 @@
 //! format everywhere.
 
 use kgq_core::Budget;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, ErrorKind, IoSlice, Write};
 use std::time::Duration;
 
 /// Request verbs understood by the server.
@@ -249,18 +249,35 @@ impl Response {
 /// the server allocate unbounded memory.
 pub const MAX_PAYLOAD: usize = 16 * 1024 * 1024;
 
+/// Sends one frame, `header` then `body`, and flushes. Both go to one
+/// `write_vectored` call, so a socket sees the whole frame in one
+/// segment train instead of a small header write whose ACK the peer
+/// may delay (Nagle). The body is not copied; a short write resumes
+/// where it stopped.
+fn write_frame(w: &mut impl Write, header: &[u8], body: &[u8]) -> std::io::Result<()> {
+    let mut slices = [IoSlice::new(header), IoSlice::new(body)];
+    let mut bufs = &mut slices[..];
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    w.flush()
+}
+
 /// Writes one request frame.
 pub fn write_request(w: &mut impl Write, req: &Request) -> std::io::Result<()> {
-    write!(
-        w,
-        "{} {} {} {}\n{}",
+    let header = format!(
+        "{} {} {} {}\n",
         req.id,
         req.verb.as_str(),
         req.caps.encode(),
-        req.payload.len(),
-        req.payload
-    )?;
-    w.flush()
+        req.payload.len()
+    );
+    write_frame(w, header.as_bytes(), req.payload.as_bytes())
 }
 
 /// Reads one request frame. `Ok(None)` on clean EOF before a header.
@@ -292,15 +309,13 @@ pub fn read_request(r: &mut impl BufRead) -> std::io::Result<Option<Request>> {
 
 /// Writes one response frame.
 pub fn write_response(w: &mut impl Write, resp: &Response) -> std::io::Result<()> {
-    write!(
-        w,
-        "{} {} {}\n{}",
+    let header = format!(
+        "{} {} {}\n",
         resp.id,
         if resp.ok { "OK" } else { "ERR" },
-        resp.body.len(),
-        resp.body
-    )?;
-    w.flush()
+        resp.body.len()
+    );
+    write_frame(w, header.as_bytes(), resp.body.as_bytes())
 }
 
 /// Reads one response frame. `Ok(None)` on clean EOF before a header.
@@ -404,6 +419,118 @@ mod tests {
             body: "a\tb\n".into()
         }
         .is_partial());
+    }
+
+    /// A sink that records its bytes and counts `write`/`write_vectored`
+    /// calls, each of which takes everything offered (as a socket with
+    /// room in its send buffer does).
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            for b in bufs {
+                self.bytes.extend_from_slice(b);
+            }
+            Ok(bufs.iter().map(|b| b.len()).sum())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Each frame leaves in exactly one write call, in both directions,
+    /// for a small and a 1 MB body, with the bytes the old single
+    /// `write!` produced.
+    #[test]
+    fn each_frame_is_one_write_call_with_unchanged_bytes() {
+        for body in ["pong".to_string(), "r\tw\n".repeat(1 << 18)] {
+            let req = Request {
+                id: 41,
+                verb: Verb::Query,
+                caps: Caps {
+                    max_results: Some(5),
+                    ..Caps::default()
+                },
+                payload: body.clone(),
+            };
+            let mut w = CountingWriter::default();
+            write_request(&mut w, &req).unwrap();
+            assert_eq!(w.calls, 1, "request with a {}-byte body", body.len());
+            let want = format!("41 QUERY results=5 {}\n{}", body.len(), body);
+            assert_eq!(w.bytes, want.as_bytes());
+
+            let resp = Response {
+                id: 41,
+                ok: false,
+                body: body.clone(),
+            };
+            let mut w = CountingWriter::default();
+            write_response(&mut w, &resp).unwrap();
+            assert_eq!(w.calls, 1, "response with a {}-byte body", body.len());
+            let want = format!("41 ERR {}\n{}", body.len(), body);
+            assert_eq!(w.bytes, want.as_bytes());
+        }
+    }
+
+    /// A writer that takes at most 3 bytes per call and is interrupted
+    /// every other call still receives the whole frame; one that
+    /// accepts nothing is a `WriteZero` error, not a spin.
+    #[test]
+    fn short_and_interrupted_writes_resume_and_zero_writes_fail() {
+        struct Trickle {
+            bytes: Vec<u8>,
+            calls: usize,
+        }
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.calls += 1;
+                if self.calls.is_multiple_of(2) {
+                    return Err(ErrorKind::Interrupted.into());
+                }
+                let n = buf.len().min(3);
+                self.bytes.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let resp = Response {
+            id: 3,
+            ok: true,
+            body: "a\tb\nc\td\n".into(),
+        };
+        let mut w = Trickle {
+            bytes: Vec::new(),
+            calls: 0,
+        };
+        write_response(&mut w, &resp).unwrap();
+        let mut r = BufReader::new(&w.bytes[..]);
+        assert_eq!(read_response(&mut r).unwrap(), Some(resp.clone()));
+
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Ok(0)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = write_response(&mut Full, &resp).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::WriteZero);
     }
 
     #[test]

@@ -263,6 +263,10 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
 
 fn spawn_reader(stream: TcpStream, conn_id: u64, shared: &Arc<Shared>) -> std::io::Result<()> {
     stream.set_nonblocking(false)?;
+    // Every response is one vectored write (see `protocol::write_frame`),
+    // so Nagle has nothing to coalesce: it would only hold a frame's
+    // tail until the client's delayed ACK, about 40 ms.
+    stream.set_nodelay(true)?;
     let read_half = stream.try_clone()?;
     let conn = Arc::new(Conn {
         id: conn_id,

@@ -2,11 +2,81 @@
 
 use kgq_core::CacheStats;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-/// Aggregate counters for one server lifetime. All methods are `&self`;
-/// update paths are atomics plus one short-lived mutex for the latency
-/// reservoir.
+/// Sub-buckets per power of two in [`LatencyHistogram`]; a recorded
+/// value is reported low by less than `1 / SUB` of itself.
+const SUB_BITS: u32 = 4;
+const SUB: u64 = 1 << SUB_BITS;
+/// Values below `SUB` get one exact bucket each; every octave above
+/// them gets `SUB` buckets: 976 counters, 7 808 bytes.
+const BUCKETS: usize = (SUB + (u64::BITS - SUB_BITS) as u64 * SUB) as usize;
+
+/// A fixed log-linear histogram of `u64` samples: constant memory and
+/// lock-free recording, at most 1/16 relative error per reported value.
+#[derive(Debug)]
+struct LatencyHistogram {
+    buckets: [AtomicU64; BUCKETS],
+}
+
+impl Default for LatencyHistogram {
+    fn default() -> LatencyHistogram {
+        LatencyHistogram {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+}
+
+impl LatencyHistogram {
+    fn bucket(v: u64) -> usize {
+        if v < SUB {
+            return v as usize;
+        }
+        let octave = u64::BITS - 1 - v.leading_zeros();
+        let sub = (v >> (octave - SUB_BITS)) & (SUB - 1);
+        (SUB * u64::from(octave - SUB_BITS + 1) + sub) as usize
+    }
+
+    /// The smallest value that falls in bucket `b`.
+    fn floor(b: usize) -> u64 {
+        let b = b as u64;
+        if b < SUB {
+            return b;
+        }
+        let octave = b / SUB - 1 + u64::from(SUB_BITS);
+        (1 << octave) | ((b % SUB) << (octave - u64::from(SUB_BITS)))
+    }
+
+    /// Records one sample.
+    fn record(&self, v: u64) {
+        self.buckets[Self::bucket(v)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Nearest-rank percentile `p` (in 1..=100) of the samples so far,
+    /// as the floor of its bucket; 0 when there are none.
+    fn percentile(&self, p: u64) -> u64 {
+        let counts: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .collect();
+        let total: u64 = counts.iter().sum();
+        if total == 0 {
+            return 0;
+        }
+        let rank = (p * total).div_ceil(100).clamp(1, total);
+        let mut seen = 0;
+        for (b, &n) in counts.iter().enumerate() {
+            seen += n;
+            if seen >= rank {
+                return Self::floor(b);
+            }
+        }
+        unreachable!("rank {rank} is at most the total {total}")
+    }
+}
+
+/// Aggregate counters for one server lifetime. All methods are `&self`
+/// and every update is an atomic.
 #[derive(Debug, Default)]
 pub struct ServerStats {
     requests: AtomicU64,
@@ -31,7 +101,7 @@ pub struct ServerStats {
     /// COUNT queries that degraded to the XOR-hash approximate counter.
     approx_counts: AtomicU64,
     /// Completed-request latencies in microseconds.
-    latencies_us: Mutex<Vec<u64>>,
+    latencies_us: LatencyHistogram,
 }
 
 impl ServerStats {
@@ -55,10 +125,7 @@ impl ServerStats {
         if partial {
             self.partials.fetch_add(1, Ordering::Relaxed);
         }
-        self.latencies_us
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(latency_us);
+        self.latencies_us.record(latency_us);
     }
 
     /// Counts a request reclaimed unrun because its client disconnected.
@@ -138,18 +205,13 @@ impl ServerStats {
         self.partials.load(Ordering::Relaxed)
     }
 
-    /// `(p50, p99)` completed-request latency in microseconds.
+    /// `(p50, p99)` completed-request latency in microseconds, each
+    /// within 1/16 below the exact nearest-rank value.
     pub fn latency_percentiles(&self) -> (u64, u64) {
-        let mut lat = self
-            .latencies_us
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
-        if lat.is_empty() {
-            return (0, 0);
-        }
-        lat.sort_unstable();
-        (percentile(&lat, 50), percentile(&lat, 99))
+        (
+            self.latencies_us.percentile(50),
+            self.latencies_us.percentile(99),
+        )
     }
 
     /// Renders the `STATS` response body. One `key value` pair per
@@ -222,7 +284,8 @@ mod tests {
         assert_eq!(s.ok(), 2);
         assert_eq!(s.errors(), 1);
         assert_eq!(s.partials(), 1);
-        assert_eq!(s.latency_percentiles(), (200, 300));
+        // 200 starts its bucket; 300 falls in [288, 304).
+        assert_eq!(s.latency_percentiles(), (200, 288));
         let cache = CacheStats {
             hits: 5,
             misses: 2,
@@ -251,9 +314,47 @@ mod tests {
         assert!(text.contains("requests 3\n"));
         assert!(text.contains("partials 1\n"));
         assert!(text.contains("cancelled 1\n"));
-        assert!(text.contains("p99_us 300\n"));
+        assert!(text.contains("p99_us 288\n"));
         assert!(text.contains("cache_hits 5\n"));
         assert!(text.contains("workers 4\n"));
+    }
+
+    /// Against an exact sorted reservoir: every percentile is at most
+    /// 1/16 below the exact nearest-rank value and never above it, over
+    /// values from 0 to `u64::MAX`.
+    #[test]
+    fn histogram_percentiles_are_within_a_sixteenth_below_exact() {
+        assert!(std::mem::size_of::<LatencyHistogram>() <= 8 * 1024);
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        for round in 0..8 {
+            let h = LatencyHistogram::default();
+            let mut exact = Vec::new();
+            for _ in 0..1_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // Spread samples over every octave, including the exact
+                // buckets below 16 and the top one.
+                let v = match round {
+                    0 => x % 16,
+                    7 => x | (1 << 63),
+                    _ => x >> (x % 64),
+                };
+                h.record(v);
+                exact.push(v);
+            }
+            exact.sort_unstable();
+            for p in [1, 10, 50, 90, 99, 100] {
+                let want = percentile(&exact, p);
+                let got = h.percentile(p);
+                assert!(got <= want, "p{p}: {got} > {want}");
+                assert!(want - got <= want / 16, "p{p}: {got} vs {want}");
+            }
+        }
+        for b in 0..BUCKETS {
+            assert_eq!(LatencyHistogram::bucket(LatencyHistogram::floor(b)), b);
+        }
+        assert_eq!(LatencyHistogram::bucket(u64::MAX), BUCKETS - 1);
     }
 
     #[test]

@@ -191,6 +191,28 @@ fn cached_query_invalidates_after_insert() {
     handle.shutdown();
 }
 
+/// Every commit bumps the generation, so a query repeated after each
+/// commit compiles once per generation. The cache must hold only the
+/// live generation's entry, not one dead product per commit.
+#[test]
+fn commits_leave_one_cache_entry_for_a_repeated_query() {
+    let handle = serve(PropertyGraph::new(), TripleStore::new(), config()).expect("bind");
+    let mut c = connect(&handle);
+    for i in 0..20 {
+        let ins = c
+            .insert(&format!("edge n{i} rides b{i} person bus"))
+            .unwrap();
+        assert!(ins.ok, "{}", ins.body);
+        let pairs = c.rpq("pairs", "rides", &Caps::none()).unwrap();
+        assert_eq!(pairs.body.lines().count(), i + 1, "{}", pairs.body);
+    }
+    let stats = c.stats().unwrap();
+    assert_eq!(stat(&stats, "cache_len"), Some(1), "{stats}");
+    assert_eq!(stat(&stats, "cache_evictions"), Some(19), "{stats}");
+    drop(c);
+    handle.shutdown();
+}
+
 #[test]
 fn durable_mutations_survive_server_restart() {
     let dir = tmp_dir("restart");

@@ -159,6 +159,33 @@ fn server_caps_apply_even_to_capless_clients() {
     handle.shutdown();
 }
 
+/// A small answer costs processor time, not a timer: with a response
+/// split over several writes and Nagle on, each round trip waited for
+/// the client's delayed ACK, about 44 ms.
+#[test]
+fn small_answers_round_trip_without_the_delayed_ack_stall() {
+    let handle = boot(Budget::unlimited(), 2);
+    let mut c = connect(&handle);
+    assert!(c.rpq("pairs", "rides", &Caps::none()).unwrap().ok); // warm the cache
+    let mut rtt = Vec::new();
+    for i in 0..30 {
+        let started = std::time::Instant::now();
+        if i % 2 == 0 {
+            assert!(c.ping().unwrap());
+        } else {
+            assert!(c.rpq("pairs", "rides", &Caps::none()).unwrap().ok);
+        }
+        rtt.push(started.elapsed());
+    }
+    rtt.sort();
+    let median = rtt[rtt.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median round trip {median:?} (all: {rtt:?})"
+    );
+    handle.shutdown();
+}
+
 #[test]
 fn malformed_frames_and_bad_queries_do_not_wedge_the_server() {
     let handle = boot(Budget::unlimited(), 2);

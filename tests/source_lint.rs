@@ -422,7 +422,7 @@ fn unsafe_audit_ratchet_is_exact() {
 ///
 /// durable(0) < graph(1) < schema(2) < store(3) = sketches(3) <
 /// sched(4) < conns(5) < reader_handles(6) < writer(7) <
-/// shutdown_requested(8) < latencies(9)
+/// shutdown_requested(8)
 const LOCK_RANKS: &[(&str, u32, &str)] = &[
     ("durable.lock()", 0, "durable"),
     ("|m|m.lock()", 0, "durable"),
@@ -445,7 +445,6 @@ const LOCK_RANKS: &[(&str, u32, &str)] = &[
     (".reader_handles.lock()", 6, "reader_handles"),
     (".writer.lock()", 7, "writer"),
     (".shutdown_requested.lock()", 8, "shutdown_requested"),
-    (".latencies_us.lock()", 9, "latencies"),
 ];
 
 /// Static lock-order violations in one file's source text.
