@@ -1,7 +1,7 @@
 //! Experiment `exp_store` — the durable write path under honest fsync,
 //! emitted as `BENCH_store.json`.
 //!
-//! Five measurements over `kgq-store` (DESIGN.md §13), all on a single
+//! Six measurements over `kgq-store` (DESIGN.md §13), all on a single
 //! box against a real filesystem:
 //!
 //! 1. **batched append throughput** — triples committed per second when
@@ -23,6 +23,10 @@
 //!    store sizes 4× apart, loaded in random order. Each is one bulk
 //!    sorted-run merge, so 16× the data must cost well under 64× the
 //!    time (a per-triple rebuild costs 256×); the run fails otherwise.
+//! 6. **CRC-32 rate** — MB/s of [`kgq_store::crc32`] over a 32 MiB
+//!    buffer against a byte-at-a-time reference loop in this binary,
+//!    best of five each. Every WAL record and every segment open sweeps
+//!    this function, so the run fails below 3× the reference.
 //!
 //! Correctness is asserted before anything is timed: every recovery
 //! must reproduce the exact committed triple set, and the overlay scan
@@ -32,6 +36,7 @@
 use kgq_bench::{fmt_duration, mean, percentile, print_table, timed};
 use kgq_store::DurableStore;
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -132,6 +137,28 @@ fn boot_point(n: u64) -> [f64; 3] {
         percentile(&folds, 50.0),
         d.as_secs_f64() * 1e3,
     ]
+}
+
+/// The byte-at-a-time CRC-32 loop the sliced [`kgq_store::crc32`] is
+/// measured against (same polynomial, same values).
+fn crc32_bytewise(table: &[u32; 256], bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc = (crc >> 8) ^ table[((crc ^ u32::from(b)) & 0xFF) as usize];
+    }
+    !crc
+}
+
+/// Best of five MB/s of `crc` over `bytes`. The input goes through
+/// `black_box` on every pass so the loop cannot be hoisted out.
+fn crc_mb_per_s(bytes: &[u8], crc: impl Fn(&[u8]) -> u32) -> f64 {
+    let best = (0..5)
+        .map(|_| {
+            let (_, d) = timed(|| black_box(crc(black_box(bytes))));
+            d.as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min);
+    bytes.len() as f64 / 1e6 / best.max(1e-9)
 }
 
 fn main() {
@@ -310,6 +337,30 @@ fn main() {
     let boot_total = |p: &[f64; 3]| p.iter().sum::<f64>();
     let boot_time_ratio = boot_total(&boot[2]) / boot_total(&boot[0]).max(1e-9);
 
+    // -- 6. CRC-32 rate ------------------------------------------------------
+    let table: [u32; 256] = std::array::from_fn(|i| {
+        (0..8).fold(i as u32, |c, _| {
+            if c & 1 != 0 {
+                (c >> 1) ^ 0xEDB8_8320
+            } else {
+                c >> 1
+            }
+        })
+    });
+    let mut state = 0x5EED_C3C3u64;
+    let crc_buf: Vec<u8> = (0..(32 << 20) / 8)
+        .flat_map(|_| splitmix64(&mut state).to_le_bytes())
+        .collect();
+    assert_eq!(
+        kgq_store::crc32(&crc_buf),
+        crc32_bytewise(&table, &crc_buf),
+        "crc32 diverged from the byte-at-a-time reference"
+    );
+    let crc_mb_s = crc_mb_per_s(&crc_buf, kgq_store::crc32);
+    let crc_bytewise_mb_s = crc_mb_per_s(&crc_buf, |b| crc32_bytewise(&table, b));
+    let crc_speedup = crc_mb_s / crc_bytewise_mb_s.max(1e-9);
+    drop(crc_buf);
+
     // -- report -----------------------------------------------------------
     print_table(
         "durable append path (fsync on every commit)",
@@ -365,6 +416,10 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     println!("16x the data costs {boot_time_ratio:.1}x the time (gate: < 64x; quadratic: 256x)\n");
+    println!(
+        "crc32 over 32 MiB: {crc_mb_s:.0} MB/s, byte-at-a-time {crc_bytewise_mb_s:.0} MB/s, \
+         {crc_speedup:.1}x (gate: >= 3x)\n"
+    );
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"quick\": {quick},");
@@ -402,8 +457,14 @@ fn main() {
     json.push_str("  ],\n");
     let _ = writeln!(
         json,
-        "  \"boot_scaling_time_ratio_16x_data\": {boot_time_ratio:.2}"
+        "  \"boot_scaling_time_ratio_16x_data\": {boot_time_ratio:.2},"
     );
+    let _ = writeln!(json, "  \"crc32_mb_per_s\": {crc_mb_s:.0},");
+    let _ = writeln!(
+        json,
+        "  \"crc32_bytewise_mb_per_s\": {crc_bytewise_mb_s:.0},"
+    );
+    let _ = writeln!(json, "  \"crc32_speedup\": {crc_speedup:.2}");
     json.push_str("}\n");
 
     let out = str_flag(&args, "--out").unwrap_or("BENCH_store.json");
@@ -417,6 +478,13 @@ fn main() {
         eprintln!(
             "exp_store: boot scaling gate failed: 16x the data cost {boot_time_ratio:.1}x the \
              time (must stay under 64x)"
+        );
+        std::process::exit(1);
+    }
+    if crc_speedup < 3.0 {
+        eprintln!(
+            "exp_store: crc32 gate failed: {crc_mb_s:.0} MB/s is {crc_speedup:.1}x the \
+             byte-at-a-time loop (must be at least 3x)"
         );
         std::process::exit(1);
     }

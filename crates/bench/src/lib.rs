@@ -1,10 +1,10 @@
 //! # kgq-bench — experiment harness
 //!
 //! One binary per experiment of `DESIGN.md` §3 (run with
-//! `cargo run -p kgq-bench --release --bin <exp_id>`), plus criterion
-//! micro-benchmarks under `benches/`. This library hosts the shared
-//! table-printing and timing helpers so every experiment prints the same
-//! kind of aligned, self-describing output recorded in `EXPERIMENTS.md`.
+//! `cargo run -p kgq-bench --release --bin <exp_id>`). This library
+//! hosts the shared table-printing and timing helpers so every
+//! experiment prints the same kind of aligned, self-describing output
+//! recorded in `EXPERIMENTS.md`.
 
 use std::time::{Duration, Instant};
 

@@ -265,7 +265,9 @@ impl DurableStore {
     /// segment written atomically, then truncates the WAL. A crash
     /// anywhere in between recovers to the same committed state (see
     /// the module docs). No-op (but still truncate-safe) when nothing
-    /// has been committed since the last compaction.
+    /// has been committed since the last compaction. A state too large
+    /// for the segment's `u32` lengths is `InvalidInput`, with nothing
+    /// written and the store unchanged.
     pub fn compact(&mut self) -> std::io::Result<()> {
         let merged = self.materialize();
         // Encode straight from the merged store and the edge slices.
@@ -282,7 +284,7 @@ impl DurableStore {
             }),
             self.all_edges(),
             None,
-        );
+        )?;
         segment::write_image_atomic(&self.dir.join(SEGMENT_FILE), &image)?;
         // The segment is durable; the log's batches are now redundant.
         self.wal.reset()?;

@@ -48,13 +48,33 @@ pub struct Segment {
     pub packed: Option<Vec<u8>>,
 }
 
-fn push_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+/// `n` as the little-endian `u32` the format stores for every length
+/// and count, or `InvalidInput`: a wrapped length would pass the CRC
+/// and then fail to decode.
+fn len_u32(n: usize, what: &str) -> std::io::Result<[u8; 4]> {
+    u32::try_from(n).map(u32::to_le_bytes).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("segment {what} of {n} does not fit the format's u32"),
+        )
+    })
+}
+
+fn push_str(buf: &mut Vec<u8>, s: &str) -> std::io::Result<()> {
+    buf.extend_from_slice(&len_u32(s.len(), "term length")?);
     buf.extend_from_slice(s.as_bytes());
+    Ok(())
 }
 
 /// Encodes the segment to its full file image (magic + payload + CRC).
+/// A segment whose lengths or counts do not fit `u32` encodes to the
+/// empty image, which [`decode`] rejects; [`write_atomic`] reports it
+/// as `InvalidInput` instead.
 pub fn encode(seg: &Segment) -> Vec<u8> {
+    try_encode(seg).unwrap_or_default()
+}
+
+fn try_encode(seg: &Segment) -> std::io::Result<Vec<u8>> {
     encode_parts(
         seg.generation,
         seg.triples
@@ -68,39 +88,40 @@ pub fn encode(seg: &Segment) -> Vec<u8> {
 /// [`encode`] over borrowed parts, so compaction can stream the merged
 /// store's terms and the live edge records into the image without
 /// first cloning them into an owned [`Segment`]. The counts in the
-/// header are patched in once the iterators are drained.
+/// header are patched in once the iterators are drained. A length or
+/// count that does not fit `u32` is `InvalidInput`.
 pub(crate) fn encode_parts<'a>(
     generation: u64,
     triples: impl IntoIterator<Item = (&'a str, &'a str, &'a str)>,
     edges: impl IntoIterator<Item = &'a EdgeRec>,
     packed: Option<&[u8]>,
-) -> Vec<u8> {
+) -> std::io::Result<Vec<u8>> {
     let mut image = SEG_MAGIC.to_vec();
     image.extend_from_slice(&generation.to_le_bytes());
     let counts_at = image.len();
     image.extend_from_slice(&[0u8; 8]);
-    let (mut n_triples, mut n_edges) = (0u32, 0u32);
+    let (mut n_triples, mut n_edges) = (0usize, 0usize);
     for (s, p, o) in triples {
-        push_str(&mut image, s);
-        push_str(&mut image, p);
-        push_str(&mut image, o);
+        push_str(&mut image, s)?;
+        push_str(&mut image, p)?;
+        push_str(&mut image, o)?;
         n_triples += 1;
     }
     for e in edges {
         for part in [&e.id, &e.src, &e.src_label, &e.label, &e.dst, &e.dst_label] {
-            push_str(&mut image, part);
+            push_str(&mut image, part)?;
         }
         n_edges += 1;
     }
-    image[counts_at..counts_at + 4].copy_from_slice(&n_triples.to_le_bytes());
-    image[counts_at + 4..counts_at + 8].copy_from_slice(&n_edges.to_le_bytes());
+    image[counts_at..counts_at + 4].copy_from_slice(&len_u32(n_triples, "triple count")?);
+    image[counts_at + 4..counts_at + 8].copy_from_slice(&len_u32(n_edges, "edge count")?);
     if let Some(packed) = packed {
-        image.extend_from_slice(&(packed.len() as u32).to_le_bytes());
+        image.extend_from_slice(&len_u32(packed.len(), "packed section length")?);
         image.extend_from_slice(packed);
     }
     let crc = crc32(&image[SEG_MAGIC.len()..]);
     image.extend_from_slice(&crc.to_le_bytes());
-    image
+    Ok(image)
 }
 
 fn data_err(msg: String) -> std::io::Error {
@@ -198,9 +219,11 @@ pub(crate) fn decode_payload(payload: &[u8]) -> std::io::Result<Segment> {
 /// Writes the segment atomically to `path`: encode to `path.tmp`,
 /// fsync the file, rename over `path`, fsync the parent directory.
 /// Injected fault site `segment::write` can tear the tmp-file write or
-/// crash after N bytes — both leave `path` untouched.
+/// crash after N bytes — both leave `path` untouched. A length or
+/// count that does not fit `u32` is `InvalidInput` before any file is
+/// touched.
 pub fn write_atomic(path: &Path, seg: &Segment) -> std::io::Result<()> {
-    write_image_atomic(path, &encode(seg))
+    write_image_atomic(path, &try_encode(seg)?)
 }
 
 /// [`write_atomic`] for an already encoded file image.
@@ -286,6 +309,32 @@ mod tests {
         // A legacy image (no section) decodes with `packed: None`.
         let legacy = encode(&sample());
         assert_eq!(decode(&legacy).unwrap().packed, None);
+    }
+
+    /// `encode(&sample())` pinned byte for byte, CRC included: images
+    /// written by earlier builds must keep verifying and decoding,
+    /// whatever `crc32`'s implementation.
+    const SAMPLE_IMAGE_HEX: &str = concat!(
+        "4b4751534547303107000000000000000200000001000000010000006105000000",
+        "6b6e6f777301000000620100000062050000006b6e6f7773010000006302000000",
+        "6531010000007806000000706572736f6e05000000726964657301000000790300",
+        "000062757327b8b67b",
+    );
+
+    #[test]
+    fn sample_image_is_byte_identical_to_earlier_builds() {
+        let image = encode(&sample());
+        let hex: String = image.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, SAMPLE_IMAGE_HEX);
+        assert_eq!(decode(&image).unwrap(), sample());
+    }
+
+    #[test]
+    fn lengths_past_u32_are_refused() {
+        let err = len_u32(u32::MAX as usize + 1, "packed section length").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert_eq!(len_u32(u32::MAX as usize, "x").unwrap(), [0xFF; 4]);
+        assert_eq!(len_u32(5, "x").unwrap(), 5u32.to_le_bytes());
     }
 
     #[test]

@@ -552,6 +552,7 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
 fn cmd_scale(args: &[String]) -> Result<String, String> {
     use kgq::core::scale::{triangle_count, LabelDfa, PackedAdjacency, ScaleEvaluator};
     use kgq::graph::packed::{PackOptions, PackedLabelIndex, PackedView};
+    use std::fmt::Write as _;
 
     let [sub, file, rest @ ..] = args else {
         return Err("scale needs (gen|stats|query|triangles) and FILE.seg".into());
@@ -662,7 +663,7 @@ fn cmd_scale(args: &[String]) -> Result<String, String> {
                         .pairs_governed(sources, chunks, &gov)
                         .map_err(|e| e.to_string())?;
                     for (s, t) in &res.value {
-                        out.push_str(&format!("{s}\t{t}\n"));
+                        let _ = writeln!(out, "{s}\t{t}");
                     }
                     pipeline::trailer(&mut out, &res, pipeline::EXHAUSTED);
                 }
@@ -671,7 +672,7 @@ fn cmd_scale(args: &[String]) -> Result<String, String> {
                         .matching_starts_governed(sources, chunks, &gov)
                         .map_err(|e| e.to_string())?;
                     for s in &res.value {
-                        out.push_str(&format!("{s}\n"));
+                        let _ = writeln!(out, "{s}");
                     }
                     pipeline::trailer(&mut out, &res, pipeline::EXHAUSTED);
                 }
@@ -701,7 +702,7 @@ fn cmd_scale(args: &[String]) -> Result<String, String> {
                 .map_err(|e| e.to_string())?;
             let mut out = format!("{} triangles\n", res.value.count);
             for (a, b, c) in &res.value.sample {
-                out.push_str(&format!("{a}\t{b}\t{c}\n"));
+                let _ = writeln!(out, "{a}\t{b}\t{c}");
             }
             pipeline::trailer(&mut out, &res, pipeline::EXHAUSTED);
             Ok(out)

@@ -26,7 +26,11 @@ fn temp_graph(name: &str, contents: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("kgq-cli-tests");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(name);
-    std::fs::write(&path, contents).unwrap();
+    // Tests run in parallel and share these names: write a private file
+    // and rename it into place, so no reader sees a half-written graph.
+    let tmp = dir.join(format!("{name}.{:?}.tmp", std::thread::current().id()));
+    std::fs::write(&tmp, contents).unwrap();
+    std::fs::rename(&tmp, &path).unwrap();
     path
 }
 
