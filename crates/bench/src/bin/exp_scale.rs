@@ -11,7 +11,7 @@
 //!    in-memory hot path.
 //! 2. **Scale pipeline**: generate a Barabási–Albert edge stream
 //!    (`--quick`: 10⁶ edges; full: 10⁸ edges), pack it without edge-id
-//!    streams, write it as the packed section of a `KGQSEG01` segment,
+//!    streams, write it as the packed section of a `KGQSEG02` segment,
 //!    reopen through the CRC-validated [`SegmentMap`] mmap reader, and
 //!    run a governed RPQ (`pairs` + `matching_starts`) and the
 //!    wedge-closing triangle count straight off the mapping, under a

@@ -25,8 +25,18 @@
 //!    time (a per-triple rebuild costs 256×); the run fails otherwise.
 //! 6. **CRC-32 rate** — MB/s of [`kgq_store::crc32`] over a 32 MiB
 //!    buffer against a byte-at-a-time reference loop in this binary,
-//!    best of five each. Every WAL record and every segment open sweeps
-//!    this function, so the run fails below 3× the reference.
+//!    best of five each. Every WAL record and every segment chunk a
+//!    reader touches is checked by this function, so the run fails
+//!    below 3× the reference.
+//! 7. **segment open cost** — [`SegmentMap::open`] on packed BA
+//!    segments of ~4 MB and ~32 MB (~1 and ~8 MB with `--quick`), best
+//!    of five each. Open reads the header and chunk table only, so the
+//!    run fails if the larger takes more than twice the smaller's time
+//!    plus 1 ms. Then the per-read price of first-touch verification:
+//!    an all-sources `l0/l0` pairs sweep of the smaller segment through
+//!    the lazily verified view, every chunk already verified, against
+//!    the same sweep through [`PackedView::parse`], best of five each;
+//!    the run fails above 1.10×.
 //!
 //! Correctness is asserted before anything is timed: every recovery
 //! must reproduce the exact committed triple set, and the overlay scan
@@ -34,7 +44,12 @@
 //! sizes for CI; `--out FILE` overrides the report path.
 
 use kgq_bench::{fmt_duration, mean, percentile, print_table, timed};
-use kgq_store::DurableStore;
+use kgq_core::parser::parse_expr;
+use kgq_core::scale::{LabelDfa, PackedAdjacency, ScaleEvaluator};
+use kgq_graph::packed::{PackOptions, PackedLabelIndex, PackedView};
+use kgq_graph::Interner;
+use kgq_store::segment::{write_atomic, Segment};
+use kgq_store::{DurableStore, SegmentMap};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
@@ -159,6 +174,50 @@ fn crc_mb_per_s(bytes: &[u8], crc: impl Fn(&[u8]) -> u32) -> f64 {
         })
         .fold(f64::INFINITY, f64::min);
     bytes.len() as f64 / 1e6 / best.max(1e-9)
+}
+
+/// Writes a one-label packed BA graph of `nodes` nodes (10 edges each,
+/// no edge ids, both directions: `kgq scale gen`'s shape) to `path`.
+fn write_packed_segment(path: &Path, nodes: u32) {
+    let quads = kgq_graph::generate::ba_edge_stream(nodes, 10, 1, 7)
+        .into_iter()
+        .enumerate()
+        .map(|(i, (s, l, d))| (s, l, d, i as u32))
+        .collect();
+    let opts = PackOptions {
+        edge_ids: false,
+        inverse: true,
+    };
+    let packed = orfail(
+        PackedLabelIndex::from_quads(nodes, &["l0".to_string()], quads, opts),
+        "pack segment",
+    );
+    let seg = Segment {
+        generation: 1,
+        triples: Vec::new(),
+        edges: Vec::new(),
+        packed: Some(packed.into_bytes()),
+    };
+    orfail(write_atomic(path, &seg), "write packed segment");
+}
+
+/// Wall time of `f` in ms, its result dropped outside the timing.
+fn wall_ms<T>(f: impl FnOnce() -> T) -> f64 {
+    let (v, d) = timed(f);
+    drop(black_box(v));
+    d.as_secs_f64() * 1e3
+}
+
+/// All-sources `l0/l0` pairs over `view`, on one thread.
+fn pairs_sweep(view: PackedView<'_>) -> Vec<(u32, u32)> {
+    let mut interner = Interner::new();
+    let expr = orfail(parse_expr("l0/l0", &mut interner), "parse l0/l0");
+    let dfa = orfail(
+        LabelDfa::compile(&expr, |s| view.label_by_name(interner.resolve(s))),
+        "compile l0/l0",
+    );
+    let adj = PackedAdjacency(view);
+    ScaleEvaluator::new(&adj, dfa).pairs(0..view.node_count() as u32, 1)
 }
 
 fn main() {
@@ -361,6 +420,55 @@ fn main() {
     let crc_speedup = crc_mb_s / crc_bytewise_mb_s.max(1e-9);
     drop(crc_buf);
 
+    // -- 7. segment open cost ------------------------------------------------
+    let open_nodes: [u32; 2] = if quick {
+        [17_500, 140_000]
+    } else {
+        [70_000, 560_000]
+    };
+    let open_dir = fresh_dir("open");
+    orfail(std::fs::create_dir_all(&open_dir), "create open dir");
+    let seg_paths = open_nodes.map(|n| {
+        let path = open_dir.join(format!("ba-{n}.seg"));
+        write_packed_segment(&path, n);
+        path
+    });
+    let seg_bytes = seg_paths
+        .clone()
+        .map(|p| orfail(std::fs::metadata(p), "stat segment").len());
+    let [open_small_ms, open_large_ms] = seg_paths.clone().map(|p| {
+        (0..5)
+            .map(|_| wall_ms(|| orfail(SegmentMap::open(&p), "open segment")))
+            .fold(f64::INFINITY, f64::min)
+    });
+    let small = orfail(SegmentMap::open(&seg_paths[0]), "open small segment");
+    let eager = orfail(
+        PackedView::parse(small.packed_bytes().unwrap_or_else(|| {
+            eprintln!("exp_store: small segment has no packed section");
+            std::process::exit(1);
+        })),
+        "parse small segment",
+    );
+    let lazy = orfail(small.packed_view(), "lazy view").unwrap_or_else(|| {
+        eprintln!("exp_store: small segment has no packed view");
+        std::process::exit(1);
+    });
+    let reference = pairs_sweep(eager);
+    assert_eq!(
+        pairs_sweep(lazy),
+        reference,
+        "the lazy view answered differently"
+    );
+    orfail(small.check(), "verify small segment");
+    let (mut eager_ms, mut lazy_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        eager_ms = eager_ms.min(wall_ms(|| pairs_sweep(eager)));
+        lazy_ms = lazy_ms.min(wall_ms(|| pairs_sweep(lazy)));
+    }
+    let lazy_overhead = lazy_ms / eager_ms.max(1e-9);
+    drop(small);
+    let _ = std::fs::remove_dir_all(&open_dir);
+
     // -- report -----------------------------------------------------------
     print_table(
         "durable append path (fsync on every commit)",
@@ -420,6 +528,15 @@ fn main() {
         "crc32 over 32 MiB: {crc_mb_s:.0} MB/s, byte-at-a-time {crc_bytewise_mb_s:.0} MB/s, \
          {crc_speedup:.1}x (gate: >= 3x)\n"
     );
+    println!(
+        "segment open: {open_small_ms:.3} ms for {} bytes, {open_large_ms:.3} ms for {} bytes \
+         (gate: larger <= 2x smaller + 1 ms)",
+        seg_bytes[0], seg_bytes[1]
+    );
+    println!(
+        "pairs sweep, verified lazy view {lazy_ms:.1} ms vs parsed view {eager_ms:.1} ms: \
+         {lazy_overhead:.3}x (gate: <= 1.10x)\n"
+    );
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"quick\": {quick},");
@@ -464,7 +581,12 @@ fn main() {
         json,
         "  \"crc32_bytewise_mb_per_s\": {crc_bytewise_mb_s:.0},"
     );
-    let _ = writeln!(json, "  \"crc32_speedup\": {crc_speedup:.2}");
+    let _ = writeln!(json, "  \"crc32_speedup\": {crc_speedup:.2},");
+    let _ = writeln!(json, "  \"mmap_open_small_bytes\": {},", seg_bytes[0]);
+    let _ = writeln!(json, "  \"mmap_open_small_ms\": {open_small_ms:.4},");
+    let _ = writeln!(json, "  \"mmap_open_large_bytes\": {},", seg_bytes[1]);
+    let _ = writeln!(json, "  \"mmap_open_large_ms\": {open_large_ms:.4},");
+    let _ = writeln!(json, "  \"lazy_view_overhead\": {lazy_overhead:.3}");
     json.push_str("}\n");
 
     let out = str_flag(&args, "--out").unwrap_or("BENCH_store.json");
@@ -485,6 +607,20 @@ fn main() {
         eprintln!(
             "exp_store: crc32 gate failed: {crc_mb_s:.0} MB/s is {crc_speedup:.1}x the \
              byte-at-a-time loop (must be at least 3x)"
+        );
+        std::process::exit(1);
+    }
+    if open_large_ms > 2.0 * open_small_ms + 1.0 {
+        eprintln!(
+            "exp_store: open-cost gate failed: {open_large_ms:.3} ms for the larger segment \
+             against {open_small_ms:.3} ms for the smaller (must stay under 2x + 1 ms)"
+        );
+        std::process::exit(1);
+    }
+    if lazy_overhead > 1.10 {
+        eprintln!(
+            "exp_store: lazy-view gate failed: the verified lazy view sweeps at \
+             {lazy_overhead:.3}x the parsed view (must stay at or under 1.10x)"
         );
         std::process::exit(1);
     }

@@ -486,9 +486,21 @@ fn build_direction(
 // View + runs
 // ---------------------------------------------------------------------
 
+/// The integrity hook of a lazily verified [`PackedView`]
+/// ([`PackedView::lazy`]): the owner of the bytes, such as an mmap'd
+/// segment, checks each slice before the view decodes it.
+pub trait BlobGuard: Sync {
+    /// Whether `bytes`, a sub-slice of the blob, may be decoded. The
+    /// owner verifies them on first touch (say, CRCs the chunks they lie
+    /// in); `false` means they failed, and the owner has recorded why.
+    fn admit(&self, bytes: &[u8]) -> bool;
+    /// Records a structural defect the view found in admitted bytes.
+    fn reject(&self, why: &str);
+}
+
 /// Borrowed accessor over a packed blob — works identically whether the
 /// bytes live in an owned `Vec<u8>` or an mmap'd segment section.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy)]
 pub struct PackedView<'a> {
     flags: u32,
     n_nodes: u32,
@@ -500,11 +512,74 @@ pub struct PackedView<'a> {
     in_index: &'a [u8],
     in_data: &'a [u8],
     total_len: u64,
+    /// Set for a lazily verified view: every run lookup has its bytes
+    /// admitted here first.
+    guard: Option<&'a dyn BlobGuard>,
+}
+
+impl std::fmt::Debug for PackedView<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PackedView")
+            .field("n_nodes", &self.n_nodes)
+            .field("n_labels", &self.n_labels)
+            .field("n_edges", &self.n_edges)
+            .field("total_len", &self.total_len)
+            .field("lazy", &self.guard.is_some())
+            .finish()
+    }
 }
 
 impl<'a> PackedView<'a> {
-    /// Parses and structurally validates a blob header.
+    /// Parses and structurally validates a blob: the header, the section
+    /// bounds, and every node offset of both indexes.
     pub fn parse(b: &'a [u8]) -> Result<Self, GraphError> {
+        let view = Self::sections(b)?;
+        // Index offsets must be monotone and in-bounds; checking here
+        // keeps the run accessors panic-free on any validated blob.
+        for (index, data) in [
+            (view.out_index, view.out_data),
+            (view.in_index, view.in_data),
+        ] {
+            let mut prev = 0u32;
+            for k in 0..index.len() / 4 {
+                let off = u32::from_le_bytes([
+                    index[4 * k],
+                    index[4 * k + 1],
+                    index[4 * k + 2],
+                    index[4 * k + 3],
+                ]);
+                if off < prev || off as usize > data.len() {
+                    return Err(GraphError::BadImage(
+                        "non-monotone or out-of-bounds node offset".into(),
+                    ));
+                }
+                prev = off;
+            }
+        }
+        Ok(view)
+    }
+
+    /// Opens a blob whose bytes `guard` verifies on first touch. The
+    /// header and the label table are admitted here. Each run lookup
+    /// then admits its node's two index entries and its data range, and
+    /// bounds-checks the range, in place of [`PackedView::parse`]'s walk
+    /// over both indexes. A lookup whose bytes fail finds no run and
+    /// leaves the reason with `guard`.
+    pub fn lazy(b: &'a [u8], guard: &'a dyn BlobGuard) -> Result<Self, GraphError> {
+        let failed = |what: &str| GraphError::BadImage(format!("{what} failed verification"));
+        if !guard.admit(&b[..HEADER_LEN.min(b.len())]) {
+            return Err(failed("packed header"));
+        }
+        let mut view = Self::sections(b)?;
+        if !guard.admit(view.label_tab) {
+            return Err(failed("packed label table"));
+        }
+        view.guard = Some(guard);
+        Ok(view)
+    }
+
+    /// Reads the header and cuts the blob into its sections.
+    fn sections(b: &'a [u8]) -> Result<Self, GraphError> {
         let bad = |m: &str| GraphError::BadImage(m.to_owned());
         if b.len() < HEADER_LEN || &b[..8] != PACKED_MAGIC {
             return Err(bad("missing KGQPIDX1 magic"));
@@ -551,7 +626,7 @@ impl<'a> PackedView<'a> {
         } else {
             (&b[0..0], &b[0..0])
         };
-        let view = PackedView {
+        Ok(PackedView {
             flags,
             n_nodes,
             n_labels,
@@ -562,25 +637,8 @@ impl<'a> PackedView<'a> {
             in_index,
             in_data,
             total_len,
-        };
-        // Index offsets must be monotone and in-bounds; checking here
-        // keeps the run accessors panic-free on any validated blob.
-        for (index, data) in [(out_index, out_data), (in_index, in_data)] {
-            let mut prev = 0u32;
-            for k in 0..index.len() / 4 {
-                let off = u32::from_le_bytes([
-                    index[4 * k],
-                    index[4 * k + 1],
-                    index[4 * k + 2],
-                    index[4 * k + 3],
-                ]);
-                if off < prev || off as usize > data.len() {
-                    return Err(bad("non-monotone or out-of-bounds node offset"));
-                }
-                prev = off;
-            }
-        }
-        Ok(view)
+            guard: None,
+        })
     }
 
     /// Number of nodes.
@@ -652,12 +710,19 @@ impl<'a> PackedView<'a> {
         if v >= self.n_nodes {
             return None;
         }
-        let (mut pos, end) = Self::node_range(index, v);
-        while pos < end {
-            let l = read_varint(data, &mut pos) as u32;
-            let rest_len = read_varint(data, &mut pos) as usize;
+        let node = match self.guard {
+            None => {
+                let (start, end) = Self::node_range(index, v);
+                &data[start..end]
+            }
+            Some(guard) => Self::admit_node(guard, index, data, v)?,
+        };
+        let mut pos = 0usize;
+        while pos < node.len() {
+            let l = read_varint(node, &mut pos) as u32;
+            let rest_len = read_varint(node, &mut pos) as usize;
             if l == label {
-                return Some(Run::parse(&data[pos..pos + rest_len], self.has_edge_ids()));
+                return Some(Run::parse(&node[pos..pos + rest_len], self.has_edge_ids()));
             }
             if l > label {
                 return None;
@@ -665,6 +730,28 @@ impl<'a> PackedView<'a> {
             pos += rest_len;
         }
         None
+    }
+
+    /// The data of node `v` in a lazily verified view: its two index
+    /// entries are admitted, the range they give is bounds-checked, and
+    /// the range is admitted before anything in it is decoded.
+    fn admit_node(
+        guard: &dyn BlobGuard,
+        index: &'a [u8],
+        data: &'a [u8],
+        v: u32,
+    ) -> Option<&'a [u8]> {
+        let at = 4 * v as usize;
+        if !guard.admit(&index[at..at + 8]) {
+            return None;
+        }
+        let (start, end) = Self::node_range(index, v);
+        if start > end || end > data.len() {
+            guard.reject("non-monotone or out-of-bounds node offset");
+            return None;
+        }
+        let node = &data[start..end];
+        guard.admit(node).then_some(node)
     }
 
     /// The outgoing run of `v` for dense label `label`, if non-empty.

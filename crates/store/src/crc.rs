@@ -12,9 +12,10 @@
 //! the same polynomial, initial value and final complement, so it
 //! returns exactly the values of the byte-at-a-time loop, and every
 //! image written by an earlier build still verifies. The rate matters
-//! because [`crate::SegmentMap::open`] checks the whole file: every
-//! `kgq scale` invocation sweeps its tens-of-megabytes packed segment
-//! once before answering. On a 2-core x86-64 VM the sliced loop runs at
+//! where whole payloads are checked — recovery's
+//! [`crate::SegmentMap::to_segment`], a `KGQSEG01` open, a full packed
+//! scan — and it bounds the first-touch price of each 64 KiB segment
+//! chunk a query reads. On a 2-core x86-64 VM the sliced loop runs at
 //! about 1.7 GB/s, the byte-at-a-time loop at about 350 MB/s.
 
 /// `TABLES[0]` is the classic 256-entry table for the reflected

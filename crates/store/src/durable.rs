@@ -411,6 +411,35 @@ mod tests {
         dir
     }
 
+    /// A record recovery would call corrupt is refused before it is
+    /// written, so it can never take later acknowledged batches down
+    /// with it.
+    #[test]
+    fn oversized_records_are_refused_before_the_append() {
+        let dir = tmp_dir("oversized");
+        {
+            let (mut store, _) = DurableStore::open(&dir).unwrap();
+            store.stage_insert("a", "knows", "b");
+            assert_eq!(store.commit().unwrap(), 1);
+            let before = store.wal_len();
+            let huge = "x".repeat(crate::wal::MAX_RECORD + 1);
+            store.stage_insert("a", &huge, "b");
+            let err = store.commit().unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+            assert_eq!(store.wal_len(), before);
+            assert_eq!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(), before);
+            store.stage_insert("b", "knows", "c");
+            assert_eq!(store.commit().unwrap(), 2);
+        }
+        let (store, replay) = DurableStore::open(&dir).unwrap();
+        assert_eq!(replay.tail, crate::wal::TailState::Clean);
+        assert_eq!(store.generation(), 2);
+        assert!(store.contains("a", "knows", "b"));
+        assert!(store.contains("b", "knows", "c"));
+        assert_eq!(store.len(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn commit_reopen_round_trips() {
         let dir = tmp_dir("roundtrip");

@@ -113,11 +113,25 @@ fn push_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-/// Encodes one record (length prefix + payload + CRC) into `out`.
-fn encode_record(out: &mut Vec<u8>, payload: &[u8]) {
+/// Encodes one record (length prefix + payload + CRC) into `out`. A
+/// payload above [`MAX_RECORD`] is `InvalidInput`: recovery would read
+/// its length as corrupt and truncate the log there, dropping every
+/// later batch with it. The cap also keeps every term length, which
+/// [`push_str`] writes as `u32`, from wrapping.
+fn encode_record(out: &mut Vec<u8>, payload: &[u8]) -> std::io::Result<()> {
+    if payload.len() > MAX_RECORD {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "WAL record of {} bytes exceeds the {MAX_RECORD}-byte cap",
+                payload.len()
+            ),
+        ));
+    }
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
     out.extend_from_slice(&crc32(payload).to_le_bytes());
+    Ok(())
 }
 
 /// Encodes an op record's payload.
@@ -155,15 +169,20 @@ fn encode_commit(generation: u64) -> Vec<u8> {
 
 /// The wire bytes of one committed batch: op records + commit marker.
 /// Exposed for the crash-torture harness, which needs to know batch
-/// boundaries to compute expected recovery prefixes.
+/// boundaries to compute expected recovery prefixes. A batch with a
+/// record above [`MAX_RECORD`] encodes to nothing;
+/// [`Wal::append_batch`] refuses it as `InvalidInput` instead.
 pub fn encode_batch(ops: &[StoreOp], generation: u64) -> Vec<u8> {
+    try_encode_batch(ops, generation).unwrap_or_default()
+}
+
+fn try_encode_batch(ops: &[StoreOp], generation: u64) -> std::io::Result<Vec<u8>> {
     let mut buf = Vec::new();
     for op in ops {
-        let payload = encode_op(op);
-        encode_record(&mut buf, &payload);
+        encode_record(&mut buf, &encode_op(op))?;
     }
-    encode_record(&mut buf, &encode_commit(generation));
-    buf
+    encode_record(&mut buf, &encode_commit(generation))?;
+    Ok(buf)
 }
 
 /// One record decoded during a scan.
@@ -485,8 +504,10 @@ impl Wal {
     /// Appends one batch (op records + commit marker stamped with
     /// `generation`) and fsyncs. On *any* failure the file is rolled
     /// back to the committed boundary — the batch is not durable and
-    /// must not be acknowledged. Injected faults: `wal::append` (torn
-    /// write / crash-after-N-bytes), `wal::fsync` (fsync failure).
+    /// must not be acknowledged. A record above [`MAX_RECORD`] is
+    /// `InvalidInput` before anything is written. Injected faults:
+    /// `wal::append` (torn write / crash-after-N-bytes), `wal::fsync`
+    /// (fsync failure).
     pub fn append_batch(&mut self, ops: &[StoreOp], generation: u64) -> std::io::Result<()> {
         if self.poisoned {
             return Err(data_err(format!(
@@ -494,7 +515,7 @@ impl Wal {
                 self.path.display()
             )));
         }
-        let buf = encode_batch(ops, generation);
+        let buf = try_encode_batch(ops, generation)?;
         let write_result = self.write_batch_bytes(&buf);
         match write_result {
             Ok(()) => {

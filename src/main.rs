@@ -560,7 +560,10 @@ fn cmd_scale(args: &[String]) -> Result<String, String> {
     let path = std::path::Path::new(file);
     let io_err = |e: std::io::Error| format!("{file}: {e}");
 
-    // Everything except `gen` starts from a validated mapping.
+    // Everything except `gen` starts from a mapping whose header is
+    // validated; the view verifies each chunk it reads on first touch,
+    // so `query` and `triangles` consult `map.check()` before they
+    // return any row.
     let open_packed = || -> Result<kgq_store::SegmentMap, String> {
         kgq_store::SegmentMap::open(path).map_err(io_err)
     };
@@ -568,10 +571,9 @@ fn cmd_scale(args: &[String]) -> Result<String, String> {
         file: &str,
         map: &'m kgq_store::SegmentMap,
     ) -> Result<PackedView<'m>, String> {
-        let bytes = map.packed_bytes().ok_or_else(|| {
-            format!("{file}: segment has no packed section (run `kgq scale gen`)")
-        })?;
-        PackedView::parse(bytes).map_err(|e| e.to_string())
+        map.packed_view()
+            .map_err(|e| format!("{file}: {e}"))?
+            .ok_or_else(|| format!("{file}: segment has no packed section (run `kgq scale gen`)"))
     }
 
     match sub.as_str() {
@@ -678,6 +680,7 @@ fn cmd_scale(args: &[String]) -> Result<String, String> {
                 }
                 other => return Err(format!("unknown scale query op `{other}`")),
             }
+            map.check().map_err(io_err)?;
             Ok(out)
         }
         "triangles" => {
@@ -705,6 +708,7 @@ fn cmd_scale(args: &[String]) -> Result<String, String> {
                 let _ = writeln!(out, "{a}\t{b}\t{c}");
             }
             pipeline::trailer(&mut out, &res, pipeline::EXHAUSTED);
+            map.check().map_err(io_err)?;
             Ok(out)
         }
         other => Err(format!(

@@ -430,3 +430,89 @@ fn parse_errors_render_with_caret_and_expected_token() {
     assert!(err.contains("query parse error at byte"), "{err}");
     assert!(err.contains("^ expected `)`"), "{err}");
 }
+
+/// CRC-valid segments whose node index lies: every chunk CRC is
+/// recomputed after the mutation (the writer computes them), so only
+/// the lazy view's per-lookup bounds check stands between the bad
+/// offsets and the decoder. Each case must be a typed error — exit 1,
+/// nothing on stdout, no panic.
+#[test]
+fn hostile_node_offsets_are_typed_errors() {
+    use kgq::graph::packed::{PackOptions, PackedLabelIndex};
+    use kgq::store::segment::{write_atomic, Segment};
+    let n = 2_000u32;
+    let quads = kgq::graph::generate::ba_edge_stream(n, 4, 1, 11)
+        .into_iter()
+        .enumerate()
+        .map(|(i, (s, l, d))| (s, l, d, i as u32))
+        .collect();
+    let opts = PackOptions {
+        edge_ids: false,
+        inverse: true,
+    };
+    let blob = PackedLabelIndex::from_quads(n, &["l0".to_string()], quads, opts)
+        .unwrap()
+        .into_bytes();
+    let field = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().unwrap()) as usize;
+    let dir = std::env::temp_dir().join(format!("kgq-cli-hostile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let seg = dir.join("hostile.seg");
+    let s = seg.to_str().unwrap();
+    // A seeded 64-bit LCG picks the node each mutation lands on.
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let out_cmds: [&[&str]; 2] = [
+        &["scale", "query", s, "l0/l0", "pairs"],
+        &["scale", "triangles", s, "l0", "l0", "l0"],
+    ];
+    let in_cmds: [&[&str]; 1] = [&["scale", "query", s, "l0^-/l0^-", "pairs"]];
+    // (index offset, data length, the invocations that read that index)
+    let directions: [(usize, usize, &[&[&str]]); 2] = [
+        (field(36), field(52) - field(44), &out_cmds),
+        (field(52), field(68) - field(60), &in_cmds),
+    ];
+    for (index_at, data_len, cmds) in directions {
+        let entry = |k: usize| {
+            let at = index_at + 4 * k;
+            u32::from_le_bytes(blob[at..at + 4].try_into().unwrap())
+        };
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        // The first node at or after a seeded start whose neighbours'
+        // runs are non-empty, so every mutation breaks monotonicity.
+        let v = (0..n as usize - 40)
+            .map(|k| 10 + (k + (state >> 33) as usize) % (n as usize - 40))
+            .find(|&v| (v - 1..v + 2).all(|k| entry(k) < entry(k + 1)))
+            .expect("a node with non-empty neighbours");
+        // (case, entry overwritten, its new value)
+        let cases = [
+            ("raised above its successor", v, entry(v + 2)),
+            ("past the end of the data", v + 1, data_len as u32 + 4096),
+            ("dropped below its predecessor", v + 1, entry(v - 1)),
+        ];
+        for (name, k, value) in cases {
+            let mut bad = blob.clone();
+            let at = index_at + 4 * k;
+            bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            let image = Segment {
+                generation: 1,
+                triples: Vec::new(),
+                edges: Vec::new(),
+                packed: Some(bad),
+            };
+            write_atomic(&seg, &image).unwrap();
+            for cmd in cmds {
+                let out = run(cmd);
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert_eq!(out.status.code(), Some(1), "{name} v={v} {cmd:?}: {stderr}");
+                assert!(out.stdout.is_empty(), "{name} v={v} {cmd:?}: rows printed");
+                assert!(
+                    stderr.starts_with("error: ") && stderr.contains("node offset"),
+                    "{name} v={v} {cmd:?}: {stderr}"
+                );
+                assert!(!stderr.contains("panicked"), "{name} v={v}: {stderr}");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
