@@ -603,6 +603,67 @@ mod governed_tests {
         assert!(matches!(err, EvalError::Interrupted(Interrupt::StepBudget)));
     }
 
+    /// The DP ticks once per seed and once per relaxation; the outcome and
+    /// the steps charged under each step budget are pinned.
+    #[test]
+    fn governed_dp_is_pinned() {
+        let mut g = kgq_graph::figures::figure2_labeled();
+        let mut got = String::new();
+        for (text, k) in [
+            ("(rides + rides^- + contact)*", 3),
+            ("(rides + rides^- + contact)*", 130),
+            ("(contact + contact^-)*", 700),
+        ] {
+            let e = parse_expr(text, g.consts_mut()).unwrap();
+            let view = LabeledView::new(&g);
+            let counter = ExactCounter::new(&view, &e);
+            for steps in [
+                Some(1),
+                Some(2),
+                Some(1023),
+                Some(1024),
+                Some(1025),
+                Some(5000),
+                None,
+            ] {
+                let budget = match steps {
+                    Some(n) => Budget::unlimited().with_max_steps(n),
+                    None => Budget::unlimited(),
+                };
+                let gov = Governor::new(&budget);
+                let res = counter.count_governed(k, &gov);
+                got.push_str(&format!(
+                    "{text} {k} {steps:?}: {res:?} {}\n",
+                    gov.steps_used()
+                ));
+            }
+        }
+        let want = [
+            "(rides + rides^- + contact)* 3 Some(1): Err(Interrupted(StepBudget)) 32",
+            "(rides + rides^- + contact)* 3 Some(2): Err(Interrupted(StepBudget)) 32",
+            "(rides + rides^- + contact)* 3 Some(1023): Ok(29) 32",
+            "(rides + rides^- + contact)* 3 Some(1024): Ok(29) 32",
+            "(rides + rides^- + contact)* 3 Some(1025): Ok(29) 32",
+            "(rides + rides^- + contact)* 3 Some(5000): Ok(29) 32",
+            "(rides + rides^- + contact)* 3 None: Ok(29) 32",
+            "(rides + rides^- + contact)* 130 Some(1): Err(Interrupted(StepBudget)) 1024",
+            "(rides + rides^- + contact)* 130 Some(2): Err(Interrupted(StepBudget)) 1024",
+            "(rides + rides^- + contact)* 130 Some(1023): Err(Interrupted(StepBudget)) 1024",
+            "(rides + rides^- + contact)* 130 Some(1024): Err(Interrupted(StepBudget)) 1048",
+            "(rides + rides^- + contact)* 130 Some(1025): Err(Interrupted(StepBudget)) 1048",
+            "(rides + rides^- + contact)* 130 Some(5000): Ok(1857922597893967079544435880537064372) 1048",
+            "(rides + rides^- + contact)* 130 None: Ok(1857922597893967079544435880537064372) 1048",
+            "(contact + contact^-)* 700 Some(1): Err(Interrupted(StepBudget)) 1024",
+            "(contact + contact^-)* 700 Some(2): Err(Interrupted(StepBudget)) 1024",
+            "(contact + contact^-)* 700 Some(1023): Err(Interrupted(StepBudget)) 1024",
+            "(contact + contact^-)* 700 Some(1024): Err(Overflow) 1024",
+            "(contact + contact^-)* 700 Some(1025): Err(Overflow) 1024",
+            "(contact + contact^-)* 700 Some(5000): Err(Overflow) 1024",
+            "(contact + contact^-)* 700 None: Err(Overflow) 1024",
+        ];
+        assert_eq!(got.lines().collect::<Vec<_>>(), want);
+    }
+
     #[test]
     fn count_outcome_renders() {
         assert_eq!(CountOutcome::Exact(42).to_string(), "42");

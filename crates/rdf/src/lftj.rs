@@ -1825,6 +1825,130 @@ mod tests {
         assert_eq!(canon(fast.bindings()), canon(q.solve_baseline(&st)));
     }
 
+    /// ~500 triples over 40 nodes and predicates `p`/`q` from a fixed
+    /// xorshift stream, plus `p` self-loops on every seventh node and the
+    /// constant triple `n0 p n1`.
+    fn seeded() -> TripleStore {
+        let mut st = TripleStore::new();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..480 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let p = if (x >> 16) % 3 == 0 { "q" } else { "p" };
+            st.insert_strs(&format!("n{}", x % 40), p, &format!("n{}", (x >> 8) % 40));
+        }
+        for i in (0..40).step_by(7) {
+            st.insert_strs(&format!("n{i}"), "p", &format!("n{i}"));
+        }
+        st.insert_strs("n0", "p", "n1");
+        st
+    }
+
+    /// Step-budget partials of the row path (one partition) and of the
+    /// count path are pinned byte for byte: both must cut at exactly the
+    /// same seek/next tick, whatever shape the join body takes.
+    #[test]
+    fn governed_prefixes_are_pinned() {
+        let mut st = seeded();
+        let shapes: [(&str, &[(&str, &str, &str)]); 6] = [
+            (
+                "triangle",
+                &[("?a", "p", "?b"), ("?b", "p", "?c"), ("?c", "p", "?a")],
+            ),
+            (
+                "path3",
+                &[("?a", "p", "?b"), ("?b", "q", "?c"), ("?c", "p", "?d")],
+            ),
+            (
+                "star",
+                &[("n1", "p", "?x"), ("n1", "q", "?y"), ("?z", "p", "n1")],
+            ),
+            ("selfjoin", &[("?x", "p", "?x"), ("?x", "q", "?y")]),
+            ("consts", &[("n0", "p", "n1")]),
+            ("empty", &[("?x", "r", "?y")]),
+        ];
+        let mut got = String::new();
+        for (name, pats) in shapes {
+            let mut q = Bgp::new();
+            for (s, p, o) in pats {
+                q.add(&mut st, s, p, o);
+            }
+            let p = plan(&st, &q);
+            for steps in [
+                Some(1),
+                Some(2),
+                Some(1023),
+                Some(1024),
+                Some(1025),
+                Some(5000),
+                None,
+            ] {
+                let budget = match steps {
+                    Some(n) => Budget::unlimited().with_max_steps(n),
+                    None => Budget::unlimited(),
+                };
+                let (g1, g2) = (Governor::new(&budget), Governor::new(&budget));
+                let rows = run(&st, &q, &p, 1, Some(&g1)).expect("sound plan");
+                let n = count_planned_governed(&st, &q, &p, &g2).expect("sound plan");
+                got.push_str(&format!(
+                    "{name} {steps:?}: rows {} {:?} {}, count {} {:?} {}\n",
+                    rows.value.rows.len(),
+                    rows.completion,
+                    g1.steps_used(),
+                    n.value,
+                    n.completion,
+                    g2.steps_used()
+                ));
+            }
+        }
+        let want = [
+            "triangle Some(1): rows 0 Partial(StepBudget) 79, count 137 Partial(StepBudget) 1024",
+            "triangle Some(2): rows 0 Partial(StepBudget) 79, count 137 Partial(StepBudget) 1024",
+            "triangle Some(1023): rows 0 Partial(StepBudget) 1103, count 137 Partial(StepBudget) 1024",
+            "triangle Some(1024): rows 0 Partial(StepBudget) 1103, count 269 Partial(StepBudget) 2048",
+            "triangle Some(1025): rows 0 Partial(StepBudget) 1103, count 269 Partial(StepBudget) 2048",
+            "triangle Some(5000): rows 408 Complete 3194, count 408 Complete 3194",
+            "triangle None: rows 408 Complete 3194, count 408 Complete 3194",
+            "path3 Some(1): rows 0 Partial(StepBudget) 78, count 792 Partial(StepBudget) 1035",
+            "path3 Some(2): rows 0 Partial(StepBudget) 78, count 792 Partial(StepBudget) 1035",
+            "path3 Some(1023): rows 0 Partial(StepBudget) 1102, count 792 Partial(StepBudget) 1035",
+            "path3 Some(1024): rows 0 Partial(StepBudget) 1102, count 792 Partial(StepBudget) 1035",
+            "path3 Some(1025): rows 0 Partial(StepBudget) 1102, count 792 Partial(StepBudget) 1035",
+            "path3 Some(5000): rows 0 Partial(StepBudget) 5198, count 4354 Partial(StepBudget) 5146",
+            "path3 None: rows 8126 Complete 9601, count 8126 Complete 9601",
+            "star Some(1): rows 0 Partial(StepBudget) 3, count 108 Partial(StepBudget) 132",
+            "star Some(2): rows 0 Partial(StepBudget) 3, count 108 Partial(StepBudget) 132",
+            "star Some(1023): rows 108 Complete 132, count 108 Complete 132",
+            "star Some(1024): rows 108 Complete 132, count 108 Complete 132",
+            "star Some(1025): rows 108 Complete 132, count 108 Complete 132",
+            "star Some(5000): rows 108 Complete 132, count 108 Complete 132",
+            "star None: rows 108 Complete 132, count 108 Complete 132",
+            "selfjoin Some(1): rows 0 Partial(StepBudget) 18, count 32 Partial(StepBudget) 58",
+            "selfjoin Some(2): rows 0 Partial(StepBudget) 18, count 32 Partial(StepBudget) 58",
+            "selfjoin Some(1023): rows 32 Complete 58, count 32 Complete 58",
+            "selfjoin Some(1024): rows 32 Complete 58, count 32 Complete 58",
+            "selfjoin Some(1025): rows 32 Complete 58, count 32 Complete 58",
+            "selfjoin Some(5000): rows 32 Complete 58, count 32 Complete 58",
+            "selfjoin None: rows 32 Complete 58, count 32 Complete 58",
+            "consts Some(1): rows 1 Complete 0, count 1 Complete 0",
+            "consts Some(2): rows 1 Complete 0, count 1 Complete 0",
+            "consts Some(1023): rows 1 Complete 0, count 1 Complete 0",
+            "consts Some(1024): rows 1 Complete 0, count 1 Complete 0",
+            "consts Some(1025): rows 1 Complete 0, count 1 Complete 0",
+            "consts Some(5000): rows 1 Complete 0, count 1 Complete 0",
+            "consts None: rows 1 Complete 0, count 1 Complete 0",
+            "empty Some(1): rows 0 Complete 0, count 0 Complete 0",
+            "empty Some(2): rows 0 Complete 0, count 0 Complete 0",
+            "empty Some(1023): rows 0 Complete 0, count 0 Complete 0",
+            "empty Some(1024): rows 0 Complete 0, count 0 Complete 0",
+            "empty Some(1025): rows 0 Complete 0, count 0 Complete 0",
+            "empty Some(5000): rows 0 Complete 0, count 0 Complete 0",
+            "empty None: rows 0 Complete 0, count 0 Complete 0",
+        ];
+        assert_eq!(got.lines().collect::<Vec<_>>(), want);
+    }
+
     #[test]
     fn variable_predicate_matches_baseline() {
         let mut st = sample();
