@@ -5,10 +5,13 @@
 //! problem is SpanL-complete, so no polynomial exact algorithm is expected.
 //! Two exact algorithms are provided:
 //!
-//! * [`count_paths`] — determinize the product (worst-case exponential,
-//!   where the hardness lives), then count by dynamic programming over the
+//! * [`ExactCounter`] — determinize the product (worst-case exponential,
+//!   where the hardness lives), then count by one dynamic program over the
 //!   deterministic automaton in `O(k · |det|)` — the standard "exponential
-//!   preprocessing, fast per-k" tradeoff.
+//!   preprocessing, fast per-k" tradeoff. Every entry (all lengths, one
+//!   length, one start, one start and end, governed or not) runs that one
+//!   DP; [`count_paths_governed`] climbs from it to the FPRAS when the
+//!   budget runs out.
 //! * [`count_paths_naive`] — enumerate every length-`k` walk of the graph
 //!   and test acceptance, in `Θ(Σ_paths)` time: the brute-force baseline
 //!   the experiments contrast against.
@@ -74,138 +77,108 @@ impl ExactCounter {
         Ok(self.count_by_length(k)?.pop().unwrap_or(0))
     }
 
-    /// Governed `Count(G, r, k)`: the DP charges one step per cell
-    /// update and two transient `u128` rows of memory, so a runaway
+    /// Governed `Count(G, r, k)`: the DP charges one step per seed and per
+    /// cell update and two transient `u128` rows of memory, so a runaway
     /// determinized product cannot pin the CPU past its budget.
     pub fn count_governed(&self, k: usize, gov: &Governor) -> Result<u128, EvalError> {
         fault_point!("count::dp");
-        let m = self.det.state_count();
-        let row_bytes = 16 * m as u64;
+        let row_bytes = 16 * self.det.state_count() as u64;
         gov.charge_memory(2 * row_bytes)
             .map_err(EvalError::Interrupted)?;
         let mut ticker = Ticker::new(gov);
-        let result = (|| -> Result<u128, EvalError> {
-            let mut cur = vec![0u128; m];
-            for s in self.det.initial_slots().iter().flatten() {
-                ticker.tick()?;
-                cur[*s as usize] = cur[*s as usize].checked_add(1).ok_or(EvalError::Overflow)?;
-            }
-            for _ in 0..k {
-                let mut next = vec![0u128; m];
-                for (s, &c) in cur.iter().enumerate() {
-                    if c == 0 {
-                        continue;
-                    }
-                    for &(_, s2) in self.det.out(s as u32) {
-                        ticker.tick()?;
-                        next[s2 as usize] = next[s2 as usize]
-                            .checked_add(c)
-                            .ok_or(EvalError::Overflow)?;
-                    }
-                }
-                cur = next;
-            }
+        let seeds = self.det.initial_slots().iter().flatten().copied();
+        let result = self.dp(seeds, k, &mut ticker, |_| Ok(())).and_then(|last| {
             ticker.flush()?;
-            self.accepting_total(&cur).map_err(EvalError::from)
-        })();
+            Ok(self.accepting_total(&last, None)?)
+        });
         gov.release_memory(2 * row_bytes);
         result
     }
 
     /// Counts for every length `0..=k` in one DP pass.
     pub fn count_by_length(&self, k: usize) -> Result<Vec<u128>, CountError> {
-        let m = self.det.state_count();
-        let mut cur = vec![0u128; m];
-        for s in self.det.initial_slots().iter().flatten() {
-            cur[*s as usize] = cur[*s as usize]
-                .checked_add(1)
-                .ok_or(CountError::Overflow)?;
-        }
         let mut totals = Vec::with_capacity(k + 1);
-        totals.push(self.accepting_total(&cur)?);
-        for _ in 0..k {
-            let mut next = vec![0u128; m];
-            for (s, &c) in cur.iter().enumerate() {
-                if c == 0 {
-                    continue;
-                }
-                for &(_, s2) in self.det.out(s as u32) {
-                    next[s2 as usize] = next[s2 as usize]
-                        .checked_add(c)
-                        .ok_or(CountError::Overflow)?;
-                }
-            }
-            cur = next;
-            totals.push(self.accepting_total(&cur)?);
-        }
+        let seeds = self.det.initial_slots().iter().flatten().copied();
+        ungoverned(self.dp(seeds, k, &mut Ticker::none(), |layer| {
+            totals.push(self.accepting_total(layer, None)?);
+            Ok(())
+        }))?;
         Ok(totals)
     }
 
     /// Count of paths of length `k` starting at a specific node.
     pub fn count_from(&self, start: NodeId, k: usize) -> Result<u128, CountError> {
-        let m = self.det.state_count();
-        let mut cur = vec![0u128; m];
-        match self.det.initial(start) {
-            Some(s) => cur[s as usize] = 1,
-            None => return Ok(0),
-        }
-        for _ in 0..k {
-            let mut next = vec![0u128; m];
-            for (s, &c) in cur.iter().enumerate() {
-                if c == 0 {
-                    continue;
-                }
-                for &(_, s2) in self.det.out(s as u32) {
-                    next[s2 as usize] = next[s2 as usize]
-                        .checked_add(c)
-                        .ok_or(CountError::Overflow)?;
-                }
-            }
-            cur = next;
-        }
-        self.accepting_total(&cur)
+        let seeds = self.det.initial(start);
+        let last = ungoverned(self.dp(seeds, k, &mut Ticker::none(), |_| Ok(())))?;
+        self.accepting_total(&last, None)
     }
 
     /// Count of length-`k` paths from `start` to `end`.
     pub fn count_between(&self, start: NodeId, end: NodeId, k: usize) -> Result<u128, CountError> {
+        let seeds = self.det.initial(start);
+        let last = ungoverned(self.dp(seeds, k, &mut Ticker::none(), |_| Ok(())))?;
+        self.accepting_total(&last, Some(end))
+    }
+
+    /// The `Count` DP, written once: seeds the product states `seeds` (one
+    /// tick each), then relaxes `k` layers of the deterministic product
+    /// (one tick per relaxation), handing every layer's distribution —
+    /// layer 0 included — to `per_layer`. Returns the last layer.
+    fn dp(
+        &self,
+        seeds: impl IntoIterator<Item = u32>,
+        k: usize,
+        ticker: &mut Ticker,
+        mut per_layer: impl FnMut(&[u128]) -> Result<(), EvalError>,
+    ) -> Result<Vec<u128>, EvalError> {
         let m = self.det.state_count();
         let mut cur = vec![0u128; m];
-        match self.det.initial(start) {
-            Some(s) => cur[s as usize] = 1,
-            None => return Ok(0),
+        for s in seeds {
+            ticker.tick()?;
+            cur[s as usize] = cur[s as usize].checked_add(1).ok_or(EvalError::Overflow)?;
         }
+        per_layer(&cur)?;
+        let mut next = vec![0u128; m];
         for _ in 0..k {
-            let mut next = vec![0u128; m];
+            next.fill(0);
             for (s, &c) in cur.iter().enumerate() {
                 if c == 0 {
                     continue;
                 }
                 for &(_, s2) in self.det.out(s as u32) {
+                    ticker.tick()?;
                     next[s2 as usize] = next[s2 as usize]
                         .checked_add(c)
-                        .ok_or(CountError::Overflow)?;
+                        .ok_or(EvalError::Overflow)?;
                 }
             }
-            cur = next;
+            std::mem::swap(&mut cur, &mut next);
+            per_layer(&cur)?;
         }
-        let mut total: u128 = 0;
-        for (s, &c) in cur.iter().enumerate() {
-            if self.det.is_accepting(s as u32) && self.det.node_of(s as u32) == end {
-                total = total.checked_add(c).ok_or(CountError::Overflow)?;
-            }
-        }
-        Ok(total)
+        Ok(cur)
     }
 
-    fn accepting_total(&self, dist: &[u128]) -> Result<u128, CountError> {
-        let mut total: u128 = 0;
-        for (s, &c) in dist.iter().enumerate() {
-            if self.det.is_accepting(s as u32) {
-                total = total.checked_add(c).ok_or(CountError::Overflow)?;
-            }
-        }
-        Ok(total)
+    /// Paths counted in `dist` that end in an accepting state, and at
+    /// node `end` when one is given.
+    fn accepting_total(&self, dist: &[u128], end: Option<NodeId>) -> Result<u128, CountError> {
+        dist.iter()
+            .enumerate()
+            .filter(|&(s, _)| {
+                let s = s as u32;
+                self.det.is_accepting(s) && end.is_none_or(|e| self.det.node_of(s) == e)
+            })
+            .map(|(_, &c)| c)
+            .try_fold(0u128, u128::checked_add)
+            .ok_or(CountError::Overflow)
     }
+}
+
+/// An unticked DP can only overflow: it has no governor to trip.
+fn ungoverned<T>(r: Result<T, EvalError>) -> Result<T, CountError> {
+    r.map_err(|e| match e {
+        EvalError::Overflow => CountError::Overflow,
+        e => unreachable!("an ungoverned DP failed with {e}"),
+    })
 }
 
 /// `Count(G, r, k)` via determinization + DP. See [`ExactCounter`].

@@ -14,6 +14,7 @@
 //! body), the classic safety condition guaranteeing derived triples are
 //! ground.
 
+use crate::analyze::ProgramReport;
 use kgq_core::govern::{Completion, EvalError, Governed, Governor, Interrupt};
 use kgq_rdf::bgp::{Bgp, TermPattern, TriplePattern};
 use kgq_rdf::store::{Triple, TripleStore};
@@ -131,32 +132,10 @@ pub struct FixpointStats {
 /// rather than an infinite loop.
 pub fn fixpoint(st: &mut TripleStore, rules: &[Rule]) -> FixpointStats {
     let analysis = crate::analyze::analyze_program(st, rules);
-    let live: Vec<&Rule> = rules
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !analysis.dead_rules.contains(i))
-        .map(|(_, r)| r)
-        .collect();
-    let mut derived = 0usize;
-    let mut rounds = 0usize;
-    loop {
-        rounds += 1;
-        let mut fresh: Vec<Triple> = Vec::new();
-        for rule in &live {
-            let sol = lftj::solve(st, &rule.body);
-            for binding in sol.bindings() {
-                if let Some(t) = rule.instantiate(&binding) {
-                    fresh.push(t);
-                }
-            }
-        }
-        let added = st.extend(fresh);
-        derived += added;
-        if added == 0 || rounds as u64 >= analysis.round_bound {
-            break;
-        }
+    match rounds(st, rules, &analysis, None) {
+        Ok(done) => done.value,
+        Err(e) => unreachable!("ungoverned rounds cannot fail: {e}"),
     }
-    FixpointStats { derived, rounds }
 }
 
 /// [`fixpoint`] under a governor. Body matching charges the governor
@@ -183,6 +162,19 @@ pub fn fixpoint_governed(
     {
         return Err(EvalError::InvalidInput(denied.message.clone()));
     }
+    rounds(st, rules, &analysis, Some(gov))
+}
+
+/// The round loop of both entries: match every live rule's body
+/// (governed when `gov` is given), bulk-insert the round's derivations,
+/// and stop when a round derives nothing, matching is interrupted, or
+/// the analyzer's round bound is reached.
+fn rounds(
+    st: &mut TripleStore,
+    rules: &[Rule],
+    analysis: &ProgramReport,
+    gov: Option<&Governor>,
+) -> Result<Governed<FixpointStats>, EvalError> {
     let live: Vec<&Rule> = rules
         .iter()
         .enumerate()
@@ -196,13 +188,16 @@ pub fn fixpoint_governed(
         let mut fresh: Vec<Triple> = Vec::new();
         let mut interrupted = None;
         for rule in &live {
-            let governed = lftj::solve_governed(st, &rule.body, gov)?;
-            for binding in governed.value.bindings() {
+            let matched = match gov {
+                Some(gov) => lftj::solve_governed(st, &rule.body, gov)?,
+                None => Governed::complete(lftj::solve(st, &rule.body)),
+            };
+            for binding in matched.value.bindings() {
                 if let Some(t) = rule.instantiate(&binding) {
                     fresh.push(t);
                 }
             }
-            if let Completion::Partial(why) = governed.completion {
+            if let Completion::Partial(why) = matched.completion {
                 interrupted = Some(why);
                 break;
             }

@@ -17,17 +17,21 @@
 //!
 //! * [`plan`] picks the variable order greedily from **exact** prefix
 //!   cardinalities (two `partition_point`s per estimate) and detects
-//!   provably-empty queries before execution; [`Plan::render`] is the
-//!   `--explain` surface.
-//! * [`solve`] / [`solve_partitioned`] parallelize by splitting the first
-//!   join variable's matched domain into contiguous chunks, one worker
-//!   per chunk. Workers own private cursors, chunks are concatenated in
-//!   domain order, so the output is byte-identical for any thread count.
-//! * [`solve_governed`] threads the PR-2 governance contract through
-//!   every seek: batched [`Ticker`] step charges, [`MemMeter`] row
-//!   charges, panic isolation per worker, and an exact-prefix
-//!   [`Governed`] `Partial` on exhaustion — the cut happens at the first
-//!   interrupted chunk, exactly like the kernel scans in `kgq-core`.
+//!   provably-empty queries before execution; [`plan_sketched`] orders by
+//!   store statistics instead, with the same access paths. [`Plan::render`]
+//!   is the `--explain` surface.
+//! * Every execution — rows or count, governed or not — runs one front
+//!   (plan verification, the empty and all-constant cases, the filtered
+//!   tables) and one `leapfrog` intersection. Rows are parallelized by
+//!   splitting the first join variable's matched domain into contiguous
+//!   chunks, one worker per chunk. Workers own private cursors, and chunks
+//!   are concatenated in domain order, so the output is byte-identical for
+//!   any thread count.
+//! * Under a [`Governor`], every seek and next ticks it through a batched
+//!   [`Ticker`], rows are charged to a [`MemMeter`], workers are
+//!   panic-isolated, and exhaustion returns an exact-prefix [`Governed`]
+//!   `Partial`. The cut happens at the first interrupted chunk, exactly
+//!   like the kernel scans in `kgq-core`.
 
 use crate::bgp::{Bgp, Binding, TermPattern, TriplePattern, VarName};
 use crate::sketch::{chain_hash, StoreSketch, XorConstraint, ROOT_HASH};
@@ -534,25 +538,6 @@ pub fn plan_sketched(st: &TripleStore, sk: &StoreSketch, bgp: &Bgp) -> SketchPla
     }
 }
 
-/// The production planning entry: sketch-driven order, greedy fallback.
-/// Returns the plan, whether the sketch planner supplied it (`false`
-/// means the greedy oracle was used), and the per-level estimates.
-/// The fallback fires only if the sketch plan fails [`verify_plan`] —
-/// which it passes by construction, so this is a safety net, but it is
-/// exactly the "greedy planner stays the oracle" contract.
-pub fn plan_best(
-    st: &TripleStore,
-    sk: &StoreSketch,
-    bgp: &Bgp,
-) -> (Plan, bool, Vec<LevelEstimate>) {
-    let sp = plan_sketched(st, sk, bgp);
-    if verify_plan(st, bgp, &sp.plan).is_ok() {
-        (sp.plan, true, sp.estimates)
-    } else {
-        (plan(st, bgp), false, Vec::new())
-    }
-}
-
 /// Independent soundness check of a [`Plan`] against the BGP and store it
 /// claims to serve, re-deriving the elimination order's validity from
 /// scratch: the variable order must be a permutation of the BGP's
@@ -560,8 +545,7 @@ pub fn plan_best(
 /// first and its variables in ascending elimination order (the legal
 /// prefix condition leapfrogging relies on), filtered flags must match
 /// repeated-variable shapes, and recorded cardinalities must equal the
-/// store's exact counts. [`solve_planned`] and every governed run call
-/// this before joining, so a planner bug surfaces as a structured
+/// store's exact counts. Every execution calls this before joining, so a planner bug surfaces as a structured
 /// [`EvalError::PlanUnsound`] instead of wrong answers.
 pub fn verify_plan(st: &TripleStore, bgp: &Bgp, plan: &Plan) -> Result<(), String> {
     if plan.patterns.len() != bgp.patterns.len() {
@@ -813,6 +797,15 @@ impl<'a> Cursor<'a> {
         self.pos[d] = gallop(self.rows, col, self.pos[d], self.hi[d], |x| x <= v);
     }
 
+    /// Descends into key `v`, a level-0 candidate this cursor is known
+    /// to hold at or after its position.
+    fn open_at(&mut self, v: Sym) {
+        let d = self.depth();
+        self.pos[d] = gallop(self.rows, self.col(), self.pos[d], self.hi[d], |x| x < v);
+        debug_assert!(!self.at_end() && self.key() == v);
+        self.open();
+    }
+
     /// Descends into the current key's run of rows.
     fn open(&mut self) {
         let d = self.depth();
@@ -928,20 +921,99 @@ impl<'a> Engine<'a> {
             nvars: plan.vars.len(),
         }
     }
+
+    /// Fresh cursors, one per pattern, at the roots of their tries.
+    fn cursors(&self) -> Vec<Cursor<'a>> {
+        self.specs.iter().map(Cursor::new).collect()
+    }
 }
 
-/// Leapfrogs the first join variable's domain: every value on which all
-/// level-0 patterns agree, in ascending order. This is the unit of
-/// parallel partitioning.
-fn level0_candidates(engine: &Engine, ticker: &mut Ticker) -> Result<Vec<Sym>, Interrupt> {
-    let mut cursors: Vec<Cursor> = engine.specs.iter().map(Cursor::new).collect();
-    let parts = &engine.level_parts[0];
-    let mut vals = Vec::new();
-    'outer: loop {
+/// Filtered (repeated-variable) pattern tables, materialized once and
+/// shared by every worker. Their memory charge is released on drop, so a
+/// governor reused across runs (the approximate counter's search, a
+/// fixpoint's rounds) carries only the tables that are still alive.
+struct Tables<'g> {
+    rows: Vec<Vec<[Sym; 3]>>,
+    gov: Option<&'g Governor>,
+    charged: u64,
+}
+
+impl Drop for Tables<'_> {
+    fn drop(&mut self) {
+        if let Some(gov) = self.gov {
+            gov.release_memory(self.charged);
+        }
+    }
+}
+
+/// How [`front`] settled a plan before any join work.
+enum Front<'g> {
+    /// A constant prefix matches nothing: no answers.
+    Empty,
+    /// All-constant patterns, all present (the planner short-circuits
+    /// misses): exactly one empty binding, like the empty BGP.
+    Unit,
+    /// Charging a filtered table tripped the governor.
+    Tripped(Interrupt),
+    /// Join over these filtered tables.
+    Join(Tables<'g>),
+}
+
+/// The front every execution shares. It re-derives the plan's validity
+/// independently of the planner (O(patterns × vars), negligible next to
+/// the join), so a planner bug surfaces as [`EvalError::PlanUnsound`]
+/// instead of wrong answers. It then settles the empty and all-constant
+/// cases and materializes the filtered tables under the memory budget.
+fn front<'g>(
+    st: &TripleStore,
+    bgp: &Bgp,
+    plan: &Plan,
+    gov: Option<&'g Governor>,
+) -> Result<Front<'g>, EvalError> {
+    verify_plan(st, bgp, plan).map_err(EvalError::PlanUnsound)?;
+    if plan.empty.is_some() {
+        return Ok(Front::Empty);
+    }
+    if plan.vars.is_empty() {
+        return Ok(Front::Unit);
+    }
+    let var_level = |name: &str| plan.vars.iter().position(|v| v == name).unwrap_or(0);
+    let mut tables = Tables {
+        rows: Vec::new(),
+        gov,
+        charged: 0,
+    };
+    for (pp, pat) in plan.patterns.iter().zip(&bgp.patterns) {
+        if pp.filtered {
+            let rows = materialize_filtered(st, pat, &pp.levels, var_level);
+            if let Some(gov) = gov {
+                // A failed charge is still counted, so it is released too.
+                let bytes = (rows.len() * 24 + 24) as u64;
+                tables.charged += bytes;
+                if let Err(why) = gov.charge_memory(bytes) {
+                    return Ok(Front::Tripped(why));
+                }
+            }
+            tables.rows.push(rows);
+        }
+    }
+    Ok(Front::Join(tables))
+}
+
+/// The leapfrog intersection: seeks every cursor in `parts` to the
+/// largest current key until all agree, ticking once per seek. Returns
+/// the agreed key, or `None` once some cursor runs out.
+#[inline]
+fn leapfrog(
+    cursors: &mut [Cursor],
+    parts: &[usize],
+    ticker: &mut Ticker,
+) -> Result<Option<Sym>, Interrupt> {
+    loop {
         let mut max = Sym(0);
         for &pi in parts {
             if cursors[pi].at_end() {
-                break 'outer;
+                return Ok(None);
             }
             max = max.max(cursors[pi].key());
         }
@@ -951,23 +1023,38 @@ fn level0_candidates(engine: &Engine, ticker: &mut Ticker) -> Result<Vec<Sym>, I
                 ticker.tick()?;
                 cursors[pi].seek(max);
                 if cursors[pi].at_end() {
-                    break 'outer;
+                    return Ok(None);
                 }
                 if cursors[pi].key() != max {
                     all_eq = false;
                 }
             }
         }
-        if !all_eq {
-            continue;
+        if all_eq {
+            return Ok(Some(max));
         }
-        vals.push(max);
-        ticker.tick()?;
-        let pi0 = parts[0];
-        cursors[pi0].next();
-        if cursors[pi0].at_end() {
-            break;
-        }
+    }
+}
+
+/// Moves the intersection past the key [`leapfrog`] agreed on, ticking
+/// once.
+#[inline]
+fn step(cursors: &mut [Cursor], parts: &[usize], ticker: &mut Ticker) -> Result<(), Interrupt> {
+    ticker.tick()?;
+    cursors[parts[0]].next();
+    Ok(())
+}
+
+/// Leapfrogs the first join variable's domain: every value on which all
+/// level-0 patterns agree, in ascending order. This is the unit of
+/// parallel partitioning.
+fn level0_candidates(engine: &Engine, ticker: &mut Ticker) -> Result<Vec<Sym>, Interrupt> {
+    let mut cursors = engine.cursors();
+    let parts = &engine.level_parts[0];
+    let mut vals = Vec::new();
+    while let Some(v) = leapfrog(&mut cursors, parts, ticker)? {
+        vals.push(v);
+        step(&mut cursors, parts, ticker)?;
     }
     Ok(vals)
 }
@@ -992,31 +1079,8 @@ fn join_level(
     for &pi in parts {
         cursors[pi].reset();
     }
-    loop {
-        let mut max = Sym(0);
-        for &pi in parts {
-            if cursors[pi].at_end() {
-                return Ok(());
-            }
-            max = max.max(cursors[pi].key());
-        }
-        let mut all_eq = true;
-        for &pi in parts {
-            if cursors[pi].key() < max {
-                ticker.tick()?;
-                cursors[pi].seek(max);
-                if cursors[pi].at_end() {
-                    return Ok(());
-                }
-                if cursors[pi].key() != max {
-                    all_eq = false;
-                }
-            }
-        }
-        if !all_eq {
-            continue;
-        }
-        binding[level] = max;
+    while let Some(v) = leapfrog(cursors, parts, ticker)? {
+        binding[level] = v;
         for &pi in parts {
             cursors[pi].open();
         }
@@ -1025,13 +1089,9 @@ fn join_level(
             cursors[pi].up();
         }
         r?;
-        ticker.tick()?;
-        let pi0 = parts[0];
-        cursors[pi0].next();
-        if cursors[pi0].at_end() {
-            return Ok(());
-        }
+        step(cursors, parts, ticker)?;
     }
+    Ok(())
 }
 
 /// Runs one contiguous chunk of the first variable's candidate domain
@@ -1054,17 +1114,15 @@ fn run_chunk_inner(
     gov: Option<&Governor>,
     out: &mut Vec<Vec<Sym>>,
 ) -> Result<(), Interrupt> {
-    let mut cursors: Vec<Cursor> = engine.specs.iter().map(Cursor::new).collect();
+    let mut cursors = engine.cursors();
     let mut ticker = Ticker::maybe(gov);
     let mut meter = MemMeter::maybe(gov);
     let mut binding = vec![Sym(0); engine.nvars];
-    let parts = engine.level_parts[0].clone();
+    let parts = &engine.level_parts[0];
     for &v in candidates {
         ticker.tick()?;
-        for &pi in &parts {
-            cursors[pi].seek(v);
-            debug_assert!(!cursors[pi].at_end() && cursors[pi].key() == v);
-            cursors[pi].open();
+        for &pi in parts {
+            cursors[pi].open_at(v);
         }
         binding[0] = v;
         join_level(
@@ -1076,7 +1134,7 @@ fn run_chunk_inner(
             &mut meter,
             out,
         )?;
-        for &pi in &parts {
+        for &pi in parts {
             cursors[pi].up();
         }
     }
@@ -1120,8 +1178,8 @@ fn chunk_bounds(len: usize, chunks: usize, i: usize) -> Range<usize> {
 /// short, if any. A panic inside an isolated worker becomes the `Err`.
 type ChunkResult = Result<(Vec<Vec<Sym>>, Option<Interrupt>), EvalError>;
 
-/// Shared implementation: plan-driven execution over `chunks` contiguous
-/// partitions of the first variable's domain, optionally governed.
+/// Plan-driven execution over `chunks` contiguous partitions of the first
+/// variable's domain, governed when `gov` is given.
 fn run(
     st: &TripleStore,
     bgp: &Bgp,
@@ -1129,57 +1187,31 @@ fn run(
     chunks: usize,
     gov: Option<&Governor>,
 ) -> Result<Governed<Solution>, EvalError> {
-    // Soundness gate: every execution re-derives the plan's validity
-    // independently of the planner. O(patterns × vars), negligible next
-    // to the join itself.
-    verify_plan(st, bgp, plan).map_err(EvalError::PlanUnsound)?;
-    let empty_solution = || Solution {
+    let solution = |rows| Solution {
         vars: plan.vars.clone(),
-        rows: Vec::new(),
+        rows,
     };
-    if plan.empty.is_some() {
-        return Ok(Governed::complete(empty_solution()));
-    }
-    if plan.vars.is_empty() {
-        // All-constant patterns, all present (the planner short-circuits
-        // misses): exactly one empty binding, like the empty BGP.
-        let sol = Solution {
-            vars: Vec::new(),
-            rows: vec![Vec::new()],
-        };
-        if let Some(gov) = gov {
-            if let Err(why) = gov.charge_results(1) {
-                return Ok(Governed::partial(empty_solution(), why));
-            }
+    let tables = match front(st, bgp, plan, gov)? {
+        Front::Empty => return Ok(Governed::complete(solution(Vec::new()))),
+        Front::Unit => {
+            return Ok(match gov.map(|gov| gov.charge_results(1)) {
+                Some(Err(why)) => Governed::partial(solution(Vec::new()), why),
+                _ => Governed::complete(solution(vec![Vec::new()])),
+            })
         }
-        return Ok(Governed::complete(sol));
-    }
-
-    // Materialize filtered (repeated-variable) patterns once, shared by
-    // all workers.
-    let var_level = |name: &str| plan.vars.iter().position(|v| v == name).unwrap_or(0);
-    let mut tables: Vec<Vec<[Sym; 3]>> = Vec::new();
-    for (pp, pat) in plan.patterns.iter().zip(&bgp.patterns) {
-        if pp.filtered {
-            let rows = materialize_filtered(st, pat, &pp.levels, var_level);
-            if let Some(gov) = gov {
-                if let Err(why) = gov.charge_memory((rows.len() * 24 + 24) as u64) {
-                    return Ok(Governed::partial(empty_solution(), why));
-                }
-            }
-            tables.push(rows);
-        }
-    }
-    let engine = Engine::build(st, plan, &tables);
+        Front::Tripped(why) => return Ok(Governed::partial(solution(Vec::new()), why)),
+        Front::Join(tables) => tables,
+    };
+    let engine = Engine::build(st, plan, &tables.rows);
 
     // The first join variable's matched domain, then contiguous chunks.
     let mut ticker = Ticker::maybe(gov);
     let candidates = match level0_candidates(&engine, &mut ticker) {
         Ok(c) => c,
-        Err(why) => return Ok(Governed::partial(empty_solution(), why)),
+        Err(why) => return Ok(Governed::partial(solution(Vec::new()), why)),
     };
     if let Err(why) = ticker.flush() {
-        return Ok(Governed::partial(empty_solution(), why));
+        return Ok(Governed::partial(solution(Vec::new()), why));
     }
     let chunks = chunks.clamp(1, candidates.len().max(1));
 
@@ -1232,27 +1264,16 @@ fn run(
             }
         }
     }
-    let sol = Solution {
-        vars: plan.vars.clone(),
-        rows,
-    };
     Ok(match why {
-        None => Governed::complete(sol),
-        Some(i) => Governed::partial(sol, i),
+        None => Governed::complete(solution(rows)),
+        Some(i) => Governed::partial(solution(rows), i),
     })
 }
 
 /// Evaluates a BGP with the leapfrog triejoin, parallelized over
 /// `KGQ_THREADS` workers (byte-identical output at any thread count).
 pub fn solve(st: &TripleStore, bgp: &Bgp) -> Solution {
-    solve_partitioned(st, bgp, effective_threads())
-}
-
-/// [`solve`] with an explicit partition count — the determinism tests
-/// compare 1/2/4 directly without touching the global thread pool.
-pub fn solve_partitioned(st: &TripleStore, bgp: &Bgp, chunks: usize) -> Solution {
-    let plan = plan(st, bgp);
-    solve_planned(st, bgp, &plan, chunks)
+    solve_planned(st, bgp, &plan(st, bgp), effective_threads())
 }
 
 /// Executes a previously computed [`Plan`] (e.g. after rendering it for
@@ -1276,8 +1297,7 @@ pub fn solve_governed(
     bgp: &Bgp,
     gov: &Governor,
 ) -> Result<Governed<Solution>, EvalError> {
-    let plan = plan(st, bgp);
-    run(st, bgp, &plan, effective_threads(), Some(gov))
+    run(st, bgp, &plan(st, bgp), effective_threads(), Some(gov))
 }
 
 /// Governed execution of a caller-supplied plan (e.g. a sketch-driven
@@ -1328,6 +1348,12 @@ enum CountStop {
     Interrupt(Interrupt),
 }
 
+impl From<Interrupt> for CountStop {
+    fn from(why: Interrupt) -> CountStop {
+        CountStop::Interrupt(why)
+    }
+}
+
 /// Counting twin of [`join_level`]: same leapfrog intersection, but no
 /// rows are materialized — matched bindings only bump a counter. Prefix
 /// hashes are chained down the recursion so XOR constraints prune whole
@@ -1360,7 +1386,7 @@ fn count_level(
         let mut left = n;
         while left > 0 {
             let step = left.min(u64::from(u32::MAX));
-            ticker.tick_n(step as u32).map_err(CountStop::Interrupt)?;
+            ticker.tick_n(step as u32)?;
             left -= step;
         }
         *count += n;
@@ -1369,31 +1395,8 @@ fn count_level(
         }
         return Ok(());
     }
-    loop {
-        let mut max = Sym(0);
-        for &pi in parts {
-            if cursors[pi].at_end() {
-                return Ok(());
-            }
-            max = max.max(cursors[pi].key());
-        }
-        let mut all_eq = true;
-        for &pi in parts {
-            if cursors[pi].key() < max {
-                ticker.tick().map_err(CountStop::Interrupt)?;
-                cursors[pi].seek(max);
-                if cursors[pi].at_end() {
-                    return Ok(());
-                }
-                if cursors[pi].key() != max {
-                    all_eq = false;
-                }
-            }
-        }
-        if !all_eq {
-            continue;
-        }
-        let h = chain_hash(hash, level, max);
+    while let Some(v) = leapfrog(cursors, parts, ticker)? {
+        let h = chain_hash(hash, level, v);
         if lcons.iter().all(|c| c.passes(h)) {
             if last {
                 *count += 1;
@@ -1411,21 +1414,18 @@ fn count_level(
                 r?;
             }
         }
-        ticker.tick().map_err(CountStop::Interrupt)?;
-        let pi0 = parts[0];
-        cursors[pi0].next();
-        if cursors[pi0].at_end() {
-            return Ok(());
-        }
+        step(cursors, parts, ticker)?;
     }
+    Ok(())
 }
 
 /// Counts the answers of a planned BGP without materializing them,
-/// subject to per-level XOR constraints and an early-exit cap. Returns
-/// the count (clamped at `cap`) plus the interrupt that stopped it, if
-/// any — a tripped run's count is a lower bound on the constrained
-/// total. The count is a single scalar, so it is trivially identical at
-/// any partition count; the recursion runs single-threaded.
+/// subject to per-level XOR constraints and an early-exit cap (at least
+/// 1). Returns the count (clamped at `cap`) plus the interrupt that
+/// stopped it, if any — a tripped run's count is a lower bound on the
+/// constrained total. The count is a single scalar, so it is trivially
+/// identical at any partition count; the recursion runs single-threaded
+/// on one ticker, which is not flushed between level 0 and the rest.
 pub(crate) fn count_planned_capped(
     st: &TripleStore,
     bgp: &Bgp,
@@ -1434,40 +1434,24 @@ pub(crate) fn count_planned_capped(
     cap: u64,
     gov: Option<&Governor>,
 ) -> Result<(u64, Option<Interrupt>), EvalError> {
-    verify_plan(st, bgp, plan).map_err(EvalError::PlanUnsound)?;
-    if plan.empty.is_some() || cap == 0 {
-        return Ok((0, None));
-    }
-    if plan.vars.is_empty() {
-        // All-constant patterns, all present: one empty binding.
-        return Ok((1, None));
-    }
-
-    let var_level = |name: &str| plan.vars.iter().position(|v| v == name).unwrap_or(0);
-    let mut tables: Vec<Vec<[Sym; 3]>> = Vec::new();
-    for (pp, pat) in plan.patterns.iter().zip(&bgp.patterns) {
-        if pp.filtered {
-            let rows = materialize_filtered(st, pat, &pp.levels, var_level);
-            if let Some(gov) = gov {
-                if let Err(why) = gov.charge_memory((rows.len() * 24 + 24) as u64) {
-                    return Ok((0, Some(why)));
-                }
-            }
-            tables.push(rows);
-        }
-    }
-    let engine = Engine::build(st, plan, &tables);
+    let tables = match front(st, bgp, plan, gov)? {
+        Front::Empty => return Ok((0, None)),
+        Front::Unit => return Ok((cap.min(1), None)),
+        Front::Tripped(why) => return Ok((0, Some(why))),
+        Front::Join(tables) => tables,
+    };
+    let engine = Engine::build(st, plan, &tables.rows);
 
     let mut ticker = Ticker::maybe(gov);
     let candidates = match level0_candidates(&engine, &mut ticker) {
         Ok(c) => c,
         Err(why) => return Ok((0, Some(why))),
     };
-    let mut cursors: Vec<Cursor> = engine.specs.iter().map(Cursor::new).collect();
-    let parts = engine.level_parts[0].clone();
+    let mut cursors = engine.cursors();
+    let parts = &engine.level_parts[0];
     let mut count = 0u64;
     let mut tripped: Option<Interrupt> = None;
-    'outer: for &v in &candidates {
+    for &v in &candidates {
         if let Err(why) = ticker.tick() {
             tripped = Some(why);
             break;
@@ -1483,10 +1467,8 @@ pub(crate) fn count_planned_capped(
             }
             continue;
         }
-        for &pi in &parts {
-            cursors[pi].seek(v);
-            debug_assert!(!cursors[pi].at_end() && cursors[pi].key() == v);
-            cursors[pi].open();
+        for &pi in parts {
+            cursors[pi].open_at(v);
         }
         let r = count_level(
             &engine,
@@ -1498,15 +1480,15 @@ pub(crate) fn count_planned_capped(
             &mut count,
             &mut ticker,
         );
-        for &pi in &parts {
+        for &pi in parts {
             cursors[pi].up();
         }
         match r {
             Ok(()) => {}
-            Err(CountStop::Cap) => break 'outer,
+            Err(CountStop::Cap) => break,
             Err(CountStop::Interrupt(why)) => {
                 tripped = Some(why);
-                break 'outer;
+                break;
             }
         }
     }
@@ -1516,24 +1498,6 @@ pub(crate) fn count_planned_capped(
         }
     }
     Ok((count.min(cap), tripped))
-}
-
-/// Exact number of answers of a BGP, without materializing them.
-pub fn count(st: &TripleStore, bgp: &Bgp) -> u64 {
-    let plan = plan(st, bgp);
-    count_planned(st, bgp, &plan)
-}
-
-/// Exact answer count over a caller-supplied plan (e.g. a sketch-driven
-/// one): same verification gate as [`solve_planned`].
-pub fn count_planned(st: &TripleStore, bgp: &Bgp, plan: &Plan) -> u64 {
-    let none = LevelConstraints::none(plan.vars.len());
-    match count_planned_capped(st, bgp, plan, &none, u64::MAX, None) {
-        Ok((n, _)) => n,
-        // Mirrors `solve_planned`: the only ungoverned failure is an
-        // unsound plan, and counting with one would be a wrong answer.
-        Err(e) => panic!("refusing to execute an unsound plan: {e}"),
-    }
 }
 
 /// Governed exact count over a caller-supplied plan: `Complete` with the
@@ -1685,9 +1649,9 @@ mod tests {
         let mut q = Bgp::new();
         q.add(&mut st, "?a", "knows", "?b");
         q.add(&mut st, "?b", "type", "?t");
-        let one = solve_partitioned(&st, &q, 1);
+        let one = solve_planned(&st, &q, &plan(&st, &q), 1);
         for chunks in [2, 3, 4, 16] {
-            assert_eq!(one, solve_partitioned(&st, &q, chunks));
+            assert_eq!(one, solve_planned(&st, &q, &plan(&st, &q), chunks));
         }
     }
 
@@ -1835,7 +1799,11 @@ mod tests {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let p = if (x >> 16) % 3 == 0 { "q" } else { "p" };
+            let p = if (x >> 16).is_multiple_of(3) {
+                "q"
+            } else {
+                "p"
+            };
             st.insert_strs(&format!("n{}", x % 40), p, &format!("n{}", (x >> 8) % 40));
         }
         for i in (0..40).step_by(7) {
@@ -1851,7 +1819,8 @@ mod tests {
     #[test]
     fn governed_prefixes_are_pinned() {
         let mut st = seeded();
-        let shapes: [(&str, &[(&str, &str, &str)]); 6] = [
+        type Pattern = (&'static str, &'static str, &'static str);
+        let shapes: [(&str, &[Pattern]); 6] = [
             (
                 "triangle",
                 &[("?a", "p", "?b"), ("?b", "p", "?c"), ("?c", "p", "?a")],
@@ -1947,6 +1916,27 @@ mod tests {
             "empty None: rows 0 Complete 0, count 0 Complete 0",
         ];
         assert_eq!(got.lines().collect::<Vec<_>>(), want);
+    }
+
+    /// A filtered table's memory charge ends with the run that built it:
+    /// the approximate counter's search reuses one governor across many
+    /// counts, and a leaked charge would trip a budget of two tables.
+    #[test]
+    fn filtered_table_charge_is_released() {
+        let mut st = TripleStore::new();
+        for i in 0..300 {
+            st.insert_strs(&format!("n{i}"), "self", &format!("n{i}"));
+        }
+        let mut q = Bgp::new();
+        q.add(&mut st, "?x", "self", "?x");
+        let table = 300 * 24 + 24;
+        let gov = Governor::new(&Budget::unlimited().with_max_memory(2 * table));
+        let sk = StoreSketch::build(&st);
+        let params = crate::sketch::BgpCountParams::default();
+        let got = crate::sketch::approx_count_bgp_governed(&st, &sk, &q, params, &gov)
+            .expect("sound plan");
+        assert_eq!(got.completion, kgq_core::govern::Completion::Complete);
+        assert_eq!(got.value, 300);
     }
 
     #[test]

@@ -58,8 +58,8 @@ pub use analyze::{analyze_bgp, BgpReport, BgpVerdict};
 pub use bgp::{Bgp, Binding, TermPattern, TriplePattern};
 pub use convert::{labeled_to_rdf, rdf_to_labeled, RDF_TYPE};
 pub use lftj::{
-    count, count_planned, count_planned_governed, plan_best, plan_sketched, verify_plan,
-    LevelConstraints, LevelEstimate, Plan, SketchPlan, Solution,
+    count_planned_governed, plan_sketched, verify_plan, LevelConstraints, LevelEstimate, Plan,
+    SketchPlan, Solution,
 };
 pub use ntriples::{parse_ntriples, write_ntriples};
 pub use query::{rpq_pairs, rpq_starts, RpqError};

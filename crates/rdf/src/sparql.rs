@@ -314,9 +314,8 @@ pub fn select(st: &mut TripleStore, query: &str) -> Result<Vec<Vec<String>>, Spa
 }
 
 /// What [`select_governed_with`] produced, plus how: the analyzer's
-/// report, whether the sketch planner supplied the executed plan (vs
-/// the greedy fallback) and whether a COUNT query degraded to the FPRAS
-/// estimate — the evidence the serve layer's STATS counters report.
+/// report and whether a COUNT query degraded to the FPRAS estimate —
+/// the evidence the serve layer's STATS counters report.
 pub struct SelectOutcome {
     /// The projected rows (or the single-row count), governed.
     pub rows: Governed<Vec<Vec<String>>>,
@@ -324,8 +323,6 @@ pub struct SelectOutcome {
     /// `provably_empty` the rows are the short-circuit answer and no
     /// plan ran.
     pub report: BgpReport,
-    /// True when the sketch-driven plan was executed.
-    pub sketch_planned: bool,
     /// True when a COUNT query fell back to the approximate counter.
     pub approx_count: bool,
 }
@@ -334,8 +331,8 @@ pub struct SelectOutcome {
 /// analysis runs first: a provably empty pattern short-circuits before
 /// planning (a COUNT then answers `0`) and before `sketch` is asked for
 /// the store's statistics, so a caller that builds them on demand pays
-/// nothing. Otherwise the plan is sketch-driven ([`crate::lftj::plan_best`]; the sketch only influences
-/// elimination order, never answers) and the leapfrog triejoin runs with
+/// nothing. Otherwise the plan is sketch-driven ([`crate::lftj::plan_sketched`];
+/// the sketch only influences elimination order, never answers) and the leapfrog triejoin runs with
 /// batched step accounting through every trie seek, panic-isolated
 /// workers, and an exact-prefix `Partial` (of the unprojected binding
 /// set) on budget exhaustion. COUNT queries climb the governed
@@ -350,25 +347,25 @@ pub fn select_governed_with<S: Borrow<StoreSketch>>(
 ) -> Result<SelectOutcome, EvalError> {
     let report = analyze_bgp(st, &q.pattern, projected(q));
     let count_row = |n: String| vec![vec![n]];
-    let (rows, sketch_planned, approx_count) = if report.provably_empty {
+    let (rows, approx_count) = if report.provably_empty {
         let rows = match &q.count {
             Some(_) => count_row("0".to_owned()),
             None => Vec::new(),
         };
-        (Governed::complete(rows), false, false)
+        (Governed::complete(rows), false)
     } else {
         let sk = sketch();
         let sk = sk.borrow();
-        let (plan, sketch_planned, _) = crate::lftj::plan_best(st, sk, &q.pattern);
+        let plan = crate::lftj::plan_sketched(st, sk, &q.pattern).plan;
         if q.count.is_none() {
             let solved = crate::lftj::solve_planned_governed(st, &q.pattern, &plan, gov)?;
             let rows = solved.map(|solution| project(st, q, &solution));
-            (rows, sketch_planned, false)
+            (rows, false)
         } else {
             let exact = crate::lftj::count_planned_governed(st, &q.pattern, &plan, gov)?;
             if exact.completion.is_complete() {
                 let rows = Governed::complete(count_row(exact.value.to_string()));
-                (rows, sketch_planned, false)
+                (rows, false)
             } else {
                 // Budget exhausted mid-count: degrade to the approximate
                 // counter under a fresh successor budget. Its own exact
@@ -381,14 +378,13 @@ pub fn select_governed_with<S: Borrow<StoreSketch>>(
                     &gov.successor(),
                 )?;
                 let rows = approx.map(|n| count_row(n.to_string()));
-                (rows, sketch_planned, true)
+                (rows, true)
             }
         }
     };
     Ok(SelectOutcome {
         rows,
         report,
-        sketch_planned,
         approx_count,
     })
 }

@@ -67,7 +67,7 @@ proptest! {
         let report = analyze_bgp(&st, &bgp, None);
         if report.provably_empty {
             for chunks in [1usize, 2, 4] {
-                let sol = lftj::solve_partitioned(&st, &bgp, chunks);
+                let sol = lftj::solve_planned(&st, &bgp, &lftj::plan(&st, &bgp), chunks);
                 prop_assert!(
                     sol.rows.is_empty(),
                     "analyzer declared the BGP empty but evaluation at {} chunk(s) \

@@ -89,9 +89,9 @@ proptest! {
         patterns in proptest::collection::vec(pattern(), 1..5),
     ) {
         let (st, bgp) = setup(&triples, &patterns);
-        let one = lftj::solve_partitioned(&st, &bgp, 1);
+        let one = lftj::solve_planned(&st, &bgp, &lftj::plan(&st, &bgp), 1);
         for chunks in [2usize, 4] {
-            let many = lftj::solve_partitioned(&st, &bgp, chunks);
+            let many = lftj::solve_planned(&st, &bgp, &lftj::plan(&st, &bgp), chunks);
             prop_assert_eq!(&one, &many, "chunks = {}", chunks);
         }
     }

@@ -148,10 +148,9 @@ proptest! {
         let (st, bgp) = setup(&triples, &patterns);
         let sk = StoreSketch::build(&st);
         let sp = lftj::plan_sketched(&st, &sk, &bgp);
+        // The sketch plan is executed with no fallback, so it must verify.
         prop_assert!(lftj::verify_plan(&st, &bgp, &sp.plan).is_ok());
-        let (best, sketched, _) = lftj::plan_best(&st, &sk, &bgp);
-        prop_assert!(sketched, "verified sketch plan must be the chosen plan");
-        let a = canon(lftj::solve_planned(&st, &bgp, &best, 1).bindings());
+        let a = canon(lftj::solve_planned(&st, &bgp, &sp.plan, 1).bindings());
         let b = canon(lftj::solve(&st, &bgp).bindings());
         prop_assert_eq!(a, b);
     }
@@ -167,7 +166,7 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let (st, bgp) = setup(&triples, &patterns);
-        let exact = lftj::count(&st, &bgp);
+        let exact = lftj::solve(&st, &bgp).rows.len() as u64;
         let sk = StoreSketch::build(&st);
         let params = BgpCountParams { seed, ..BgpCountParams::default() };
         if exact <= params.pivot() {
@@ -198,7 +197,7 @@ proptest! {
         text.push_str(" }");
         let rows = select(&mut st, &text).unwrap();
         for chunks in [1usize, 2, 4] {
-            let n = lftj::solve_partitioned(&st, &bgp, chunks).rows.len();
+            let n = lftj::solve_planned(&st, &bgp, &lftj::plan(&st, &bgp), chunks).rows.len();
             prop_assert_eq!(&rows, &vec![vec![n.to_string()]], "chunks = {}", chunks);
         }
     }

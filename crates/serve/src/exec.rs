@@ -191,8 +191,8 @@ impl Snapshot {
         if answer.short_circuited {
             self.stats.deny_short_circuit();
         }
-        if let Some(sketch) = answer.sketch_planned {
-            self.stats.plan_choice(sketch);
+        if answer.planned {
+            self.stats.sparql_plan();
         }
         if answer.approx_count {
             self.stats.approx_count();

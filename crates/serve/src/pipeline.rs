@@ -44,9 +44,8 @@ pub struct Answer {
     /// The analyzer proved the answer empty, so nothing was compiled,
     /// planned or run.
     pub short_circuited: bool,
-    /// For an executed SPARQL plan: whether the sketch planner supplied
-    /// it (`false`: the greedy fallback).
-    pub sketch_planned: Option<bool>,
+    /// A SPARQL plan was executed.
+    pub planned: bool,
     /// A SPARQL COUNT fell back to the approximate counter.
     pub approx_count: bool,
 }
@@ -264,7 +263,7 @@ pub fn sparql<S: Borrow<StoreSketch>>(
         Ok(outcome) => {
             let mut answer = Answer::analyzed(&outcome.report.diagnostics);
             answer.short_circuited = outcome.report.provably_empty;
-            answer.sketch_planned = (!answer.short_circuited).then_some(outcome.sketch_planned);
+            answer.planned = !answer.short_circuited;
             answer.approx_count = outcome.approx_count;
             (answer, Ok(outcome.rows))
         }

@@ -94,10 +94,8 @@ pub struct ServerStats {
     /// Query requests answered empty straight from a Deny verdict,
     /// skipping planning and evaluation entirely.
     deny_short_circuits: AtomicU64,
-    /// SPARQL requests executed on a sketch-driven plan.
+    /// SPARQL requests executed on a (sketch-driven) plan.
     plans_sketch: AtomicU64,
-    /// SPARQL requests that fell back to the greedy planner.
-    plans_greedy: AtomicU64,
     /// COUNT queries that degraded to the XOR-hash approximate counter.
     approx_counts: AtomicU64,
     /// Completed-request latencies in microseconds.
@@ -146,28 +144,14 @@ impl ServerStats {
         self.deny_short_circuits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts which planner supplied an executed SPARQL plan.
-    pub fn plan_choice(&self, sketch: bool) {
-        if sketch {
-            self.plans_sketch.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.plans_greedy.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Counts an executed SPARQL plan.
+    pub fn sparql_plan(&self) {
+        self.plans_sketch.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts a COUNT query degraded to the approximate counter.
     pub fn approx_count(&self) {
         self.approx_counts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// SPARQL requests executed on a sketch-driven plan.
-    pub fn plans_sketch(&self) -> u64 {
-        self.plans_sketch.load(Ordering::Relaxed)
-    }
-
-    /// SPARQL requests that fell back to the greedy planner.
-    pub fn plans_greedy(&self) -> u64 {
-        self.plans_greedy.load(Ordering::Relaxed)
     }
 
     /// COUNT queries that degraded to the approximate counter.
@@ -224,8 +208,7 @@ impl ServerStats {
              cache_hits {}\ncache_misses {}\ncache_evictions {}\n\
              cache_short_circuits {}\ncache_len {}\ncache_capacity {}\n\
              analyzed {}\nverdict_deny {}\nverdict_warn {}\nverdict_note {}\n\
-             deny_short_circuits {}\nplans_sketch {}\nplans_greedy {}\n\
-             approx_counts {}\n",
+             deny_short_circuits {}\nplans_sketch {}\napprox_counts {}\n",
             self.requests(),
             self.ok(),
             self.errors(),
@@ -242,8 +225,7 @@ impl ServerStats {
             self.verdict_warn.load(Ordering::Relaxed),
             self.verdict_note.load(Ordering::Relaxed),
             self.deny_short_circuits(),
-            self.plans_sketch(),
-            self.plans_greedy(),
+            self.plans_sketch.load(Ordering::Relaxed),
             self.approx_counts(),
         )
     }
@@ -303,13 +285,11 @@ mod tests {
         assert!(text.contains("verdict_warn 2\n"));
         assert!(text.contains("verdict_note 1\n"));
         assert!(text.contains("deny_short_circuits 1\n"));
-        s.plan_choice(true);
-        s.plan_choice(true);
-        s.plan_choice(false);
+        s.sparql_plan();
+        s.sparql_plan();
         s.approx_count();
         let text = s.render(&cache, 4);
         assert!(text.contains("plans_sketch 2\n"));
-        assert!(text.contains("plans_greedy 1\n"));
         assert!(text.contains("approx_counts 1\n"));
         assert!(text.contains("requests 3\n"));
         assert!(text.contains("partials 1\n"));

@@ -593,7 +593,8 @@ fn serve_lock_acquisitions_follow_the_rank_order() {
 ///   verb that both the CLI and the server executor call;
 /// - the engine evaluators (`kgq-rdf`, `kgq-cypher`, `kgq-logic`) the
 ///   pipeline and library callers reach, and their ungoverned shims;
-/// - the LFTJ executor, which independently re-verifies planner output.
+/// - the LFTJ front, which independently re-verifies planner output, and
+///   both LFTJ executors (rows and count), which must go through it.
 const ANALYZER_COVERAGE: &[(&str, &str, &[&str])] = &[
     ("crates/serve/src/pipeline.rs", "rpq", &["analyze_expr("]),
     (
@@ -643,7 +644,13 @@ const ANALYZER_COVERAGE: &[(&str, &str, &[&str])] = &[
     ),
     ("crates/rdf/src/query.rs", "rpq_pairs", &["analyze_expr("]),
     ("crates/rdf/src/query.rs", "rpq_starts", &["analyze_expr("]),
-    ("crates/rdf/src/lftj.rs", "run", &["verify_plan("]),
+    ("crates/rdf/src/lftj.rs", "front", &["verify_plan("]),
+    ("crates/rdf/src/lftj.rs", "run", &["front("]),
+    (
+        "crates/rdf/src/lftj.rs",
+        "count_planned_capped",
+        &["front("],
+    ),
     (
         "crates/logic/src/rules.rs",
         "fixpoint",
@@ -707,6 +714,38 @@ fn every_query_entrypoint_consults_an_analyzer() {
                      entrypoint must consult its static analyzer before executing"
                 ));
             }
+        }
+    }
+    assert!(problems.is_empty(), "\n{}", problems.join("\n"));
+}
+
+/// One body per algorithm: `(file, fn name, token)` — the token marks the
+/// algorithm's inner step and may occur in no other function of its
+/// file, so a second copy of the loop cannot grow back beside the first.
+const SINGLE_BODY: &[(&str, &str, &str)] = &[
+    // The leapfrog intersection: the only cursor seek.
+    ("crates/rdf/src/lftj.rs", "leapfrog", ".seek("),
+    // The `Count` DP: the only relaxation of a product transition.
+    ("crates/core/src/count.rs", "dp", "checked_add(c)"),
+];
+
+#[test]
+fn each_algorithm_has_one_body() {
+    let mut problems = Vec::new();
+    for (file, func, token) in SINGLE_BODY {
+        let src = fs::read_to_string(repo_root().join(file)).expect("readable source file");
+        let lines = non_test_lines(&src);
+        let Some(body) = fn_body(&lines, func) else {
+            problems.push(format!("{file}: fn `{func}` not found; update SINGLE_BODY"));
+            continue;
+        };
+        let in_body = body.matches(token).count();
+        let in_file: usize = lines.iter().map(|l| l.matches(token).count()).sum();
+        if in_body == 0 || in_body != in_file {
+            problems.push(format!(
+                "{file}: `{token}` occurs {in_file} time(s), {in_body} of them in fn `{func}`; \
+                 the algorithm must have one body"
+            ));
         }
     }
     assert!(problems.is_empty(), "\n{}", problems.join("\n"));
