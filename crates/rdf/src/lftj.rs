@@ -545,8 +545,9 @@ pub fn plan_sketched(st: &TripleStore, sk: &StoreSketch, bgp: &Bgp) -> SketchPla
 /// first and its variables in ascending elimination order (the legal
 /// prefix condition leapfrogging relies on), filtered flags must match
 /// repeated-variable shapes, and recorded cardinalities must equal the
-/// store's exact counts. Every execution calls this before joining, so a planner bug surfaces as a structured
-/// [`EvalError::PlanUnsound`] instead of wrong answers.
+/// store's exact counts. Every execution calls this before joining, so
+/// a planner bug surfaces as a structured [`EvalError::PlanUnsound`]
+/// instead of wrong answers.
 pub fn verify_plan(st: &TripleStore, bgp: &Bgp, plan: &Plan) -> Result<(), String> {
     if plan.patterns.len() != bgp.patterns.len() {
         return Err(format!(
@@ -1436,7 +1437,7 @@ pub(crate) fn count_planned_capped(
 ) -> Result<(u64, Option<Interrupt>), EvalError> {
     let tables = match front(st, bgp, plan, gov)? {
         Front::Empty => return Ok((0, None)),
-        Front::Unit => return Ok((cap.min(1), None)),
+        Front::Unit => return Ok((1, None)),
         Front::Tripped(why) => return Ok((0, Some(why))),
         Front::Join(tables) => tables,
     };
