@@ -1003,8 +1003,9 @@ fn front<'g>(
 
 /// The leapfrog intersection: seeks every cursor in `parts` to the
 /// largest current key until all agree, ticking once per seek. Returns
-/// the agreed key, or `None` once some cursor runs out.
-#[inline]
+/// the agreed key, or `None` once some cursor runs out. Inlined into
+/// each caller, so every loop over it compiles as if written out in place.
+#[inline(always)]
 fn leapfrog(
     cursors: &mut [Cursor],
     parts: &[usize],
@@ -1039,7 +1040,7 @@ fn leapfrog(
 
 /// Moves the intersection past the key [`leapfrog`] agreed on, ticking
 /// once.
-#[inline]
+#[inline(always)]
 fn step(cursors: &mut [Cursor], parts: &[usize], ticker: &mut Ticker) -> Result<(), Interrupt> {
     ticker.tick()?;
     cursors[parts[0]].next();
