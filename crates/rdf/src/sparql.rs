@@ -331,8 +331,9 @@ pub struct SelectOutcome {
 /// analysis runs first: a provably empty pattern short-circuits before
 /// planning (a COUNT then answers `0`) and before `sketch` is asked for
 /// the store's statistics, so a caller that builds them on demand pays
-/// nothing. Otherwise the plan is sketch-driven ([`crate::lftj::plan_sketched`];
-/// the sketch only influences elimination order, never answers) and the leapfrog triejoin runs with
+/// nothing. Otherwise the plan is sketch-driven
+/// ([`crate::lftj::plan_sketched`]; the sketch only influences
+/// elimination order, never answers) and the leapfrog triejoin runs with
 /// batched step accounting through every trie seek, panic-isolated
 /// workers, and an exact-prefix `Partial` (of the unprojected binding
 /// set) on budget exhaustion. COUNT queries climb the governed
