@@ -461,15 +461,24 @@ impl Governor {
 
     /// Charges `n` materialized answers.
     pub fn charge_results(&self, n: u64) -> Result<(), Interrupt> {
+        self.admit_results(n)?;
+        match self.trip_state() {
+            Some(t) => Err(t),
+            None => Ok(()),
+        }
+    }
+
+    /// Charges `n` answers that are already computed, against the result
+    /// budget only: another limit's trip stops the work that computes
+    /// answers, not the admission of those in hand. A result-budget trip
+    /// still reports the first trip.
+    pub fn admit_results(&self, n: u64) -> Result<(), Interrupt> {
         let total = self
             .results
             .fetch_add(n, Ordering::Relaxed)
             .saturating_add(n);
         if total >= self.max_results.saturating_add(1) {
             return Err(self.trip(Interrupt::ResultBudget));
-        }
-        if let Some(t) = self.trip_state() {
-            return Err(t);
         }
         Ok(())
     }
@@ -840,6 +849,18 @@ mod tests {
         assert_eq!(gov.charge_memory(1), Err(Interrupt::StepBudget));
         assert_eq!(gov.charge_results(1), Err(Interrupt::StepBudget));
         assert_eq!(gov.trip_state(), Some(Interrupt::StepBudget));
+    }
+
+    #[test]
+    fn admitted_results_see_only_the_result_budget() {
+        let gov = Governor::new(&Budget::unlimited().with_max_steps(1).with_max_results(2));
+        assert_eq!(gov.charge_steps(2), Err(Interrupt::StepBudget));
+        assert!(gov.admit_results(2).is_ok());
+        // Crossing the result budget after a step trip reports the first.
+        assert_eq!(gov.admit_results(1), Err(Interrupt::StepBudget));
+        let gov = Governor::new(&Budget::unlimited().with_max_results(1));
+        assert!(gov.admit_results(1).is_ok());
+        assert_eq!(gov.admit_results(1), Err(Interrupt::ResultBudget));
     }
 
     #[test]

@@ -1239,7 +1239,8 @@ fn run(
 
     // Deterministic merge: concatenate chunks in domain order, cutting at
     // the first interrupted chunk so the result is an exact prefix of the
-    // ungoverned answer.
+    // ungoverned answer. Rows already computed are cut only by the result
+    // budget, so a step, deadline or cancel trip keeps them.
     let mut rows = Vec::new();
     let mut why: Option<Interrupt> = None;
     'merge: for res in per_chunk {
@@ -1252,7 +1253,7 @@ fn run(
             Ok((chunk_rows, interrupted)) => {
                 for row in chunk_rows {
                     if let Some(gov) = gov {
-                        if let Err(i) = gov.charge_results(1) {
+                        if let Err(i) = gov.admit_results(1) {
                             why = Some(i);
                             break 'merge;
                         }
@@ -1876,17 +1877,17 @@ mod tests {
         let want = [
             "triangle Some(1): rows 0 Partial(StepBudget) 79, count 137 Partial(StepBudget) 1024",
             "triangle Some(2): rows 0 Partial(StepBudget) 79, count 137 Partial(StepBudget) 1024",
-            "triangle Some(1023): rows 0 Partial(StepBudget) 1103, count 137 Partial(StepBudget) 1024",
-            "triangle Some(1024): rows 0 Partial(StepBudget) 1103, count 269 Partial(StepBudget) 2048",
-            "triangle Some(1025): rows 0 Partial(StepBudget) 1103, count 269 Partial(StepBudget) 2048",
+            "triangle Some(1023): rows 149 Partial(StepBudget) 1103, count 137 Partial(StepBudget) 1024",
+            "triangle Some(1024): rows 149 Partial(StepBudget) 1103, count 269 Partial(StepBudget) 2048",
+            "triangle Some(1025): rows 149 Partial(StepBudget) 1103, count 269 Partial(StepBudget) 2048",
             "triangle Some(5000): rows 408 Complete 3194, count 408 Complete 3194",
             "triangle None: rows 408 Complete 3194, count 408 Complete 3194",
             "path3 Some(1): rows 0 Partial(StepBudget) 78, count 792 Partial(StepBudget) 1035",
             "path3 Some(2): rows 0 Partial(StepBudget) 78, count 792 Partial(StepBudget) 1035",
-            "path3 Some(1023): rows 0 Partial(StepBudget) 1102, count 792 Partial(StepBudget) 1035",
-            "path3 Some(1024): rows 0 Partial(StepBudget) 1102, count 792 Partial(StepBudget) 1035",
-            "path3 Some(1025): rows 0 Partial(StepBudget) 1102, count 792 Partial(StepBudget) 1035",
-            "path3 Some(5000): rows 0 Partial(StepBudget) 5198, count 4354 Partial(StepBudget) 5146",
+            "path3 Some(1023): rows 863 Partial(StepBudget) 1102, count 792 Partial(StepBudget) 1035",
+            "path3 Some(1024): rows 863 Partial(StepBudget) 1102, count 792 Partial(StepBudget) 1035",
+            "path3 Some(1025): rows 863 Partial(StepBudget) 1102, count 792 Partial(StepBudget) 1035",
+            "path3 Some(5000): rows 4406 Partial(StepBudget) 5198, count 4354 Partial(StepBudget) 5146",
             "path3 None: rows 8126 Complete 9601, count 8126 Complete 9601",
             "star Some(1): rows 0 Partial(StepBudget) 3, count 108 Partial(StepBudget) 132",
             "star Some(2): rows 0 Partial(StepBudget) 3, count 108 Partial(StepBudget) 132",

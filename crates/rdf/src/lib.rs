@@ -69,6 +69,6 @@ pub use reason::{
 pub use sketch::{approx_count_bgp, approx_count_bgp_governed, BgpCountParams, StoreSketch};
 pub use sparql::{
     explain_parsed, explain_select, parse_select, select, select_governed_with, SelectOutcome,
-    SelectQuery, SparqlParseError,
+    SelectQuery, SelectRows, SparqlParseError, SymTable,
 };
 pub use store::{IndexOrder, Triple, TripleStore};

@@ -25,6 +25,7 @@ use crate::convert::RDF_TYPE;
 use crate::sketch::{approx_count_bgp_governed, BgpCountParams, StoreSketch};
 use crate::store::TripleStore;
 use kgq_core::govern::{EvalError, Governed, Governor};
+use kgq_graph::Sym;
 use std::borrow::Borrow;
 use std::fmt;
 
@@ -270,26 +271,168 @@ pub fn parse_select(input: &str, st: &mut TripleStore) -> Result<SelectQuery, Sp
     })
 }
 
-/// Projects a join result onto the query's SELECT list, resolving terms
-/// to strings, sorted and deduplicated for a deterministic row surface.
-fn project(st: &TripleStore, q: &SelectQuery, sol: &crate::lftj::Solution) -> Vec<Vec<String>> {
+/// A projected SELECT answer that is still term symbols: `len` rows of
+/// `width` cells each, row after row in `cells`, sorted by their term
+/// strings and deduplicated. Strings are resolved only when the rows are
+/// written.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SymTable {
+    /// Cells per row: the projection's arity, 0 for `SELECT *` over an
+    /// all-constant pattern.
+    width: usize,
+    /// Rows; kept apart from `cells`, which stay empty at width 0.
+    len: usize,
+    /// The cells, `width` per row.
+    cells: Vec<Sym>,
+}
+
+impl SymTable {
+    /// The rows, `width` symbols each (`len` empty rows at width 0,
+    /// where `chunks_exact` would panic).
+    pub fn rows(&self) -> impl Iterator<Item = &[Sym]> {
+        let w = self.width;
+        (0..self.len).map(move |i| &self.cells[i * w..(i + 1) * w])
+    }
+}
+
+/// The rows of a SELECT answer.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SelectRows {
+    /// The projected bindings.
+    Table(SymTable),
+    /// The one rendered cell of a `COUNT(*)` query.
+    Count(String),
+}
+
+impl SelectRows {
+    /// Appends the rows to `out`, one line each, cells separated by tabs.
+    pub fn write(&self, st: &TripleStore, out: &mut String) {
+        match self {
+            SelectRows::Table(t) => {
+                for row in t.rows() {
+                    for (i, text) in terms(st, row).enumerate() {
+                        if i > 0 {
+                            out.push('\t');
+                        }
+                        out.push_str(text);
+                    }
+                    out.push('\n');
+                }
+            }
+            SelectRows::Count(n) => {
+                out.push_str(n);
+                out.push('\n');
+            }
+        }
+    }
+
+    /// The rows as owned strings, one `Vec` per row.
+    pub fn to_strings(&self, st: &TripleStore) -> Vec<Vec<String>> {
+        match self {
+            SelectRows::Table(t) => t
+                .rows()
+                .map(|row| terms(st, row).map(str::to_owned).collect())
+                .collect(),
+            SelectRows::Count(n) => vec![vec![n.clone()]],
+        }
+    }
+}
+
+/// Resolves symbols to their term strings: the one place the SELECT row
+/// surface meets text, for ranking, writing and the string shim alike.
+fn terms<'a>(st: &'a TripleStore, syms: &'a [Sym]) -> impl Iterator<Item = &'a str> + 'a {
+    syms.iter().map(|&s| st.term_str(s))
+}
+
+/// Projects a join result onto the query's SELECT list, sorted by the
+/// term strings and deduplicated for a deterministic row surface.
+///
+/// Only the answer's distinct symbols are sorted by string; each gets its
+/// rank (equal strings, equal ranks), and the rows are ordered by their
+/// rank tuples with one stable counting pass per column, last column
+/// first. Adjacent equal rows are then dropped. Ranks order like the
+/// strings, so this is the order of sorting the string rows themselves.
+fn project(st: &TripleStore, q: &SelectQuery, sol: crate::lftj::Solution) -> SymTable {
     let idx: Vec<usize> = q
         .vars
         .iter()
         .map(|v| sol.vars.iter().position(|u| u == v).unwrap_or(0))
         .collect();
-    let mut rows: Vec<Vec<String>> = sol
-        .rows
-        .iter()
-        .map(|row| {
-            idx.iter()
-                .map(|&i| st.term_str(row[i]).to_owned())
-                .collect()
-        })
-        .collect();
-    rows.sort();
-    rows.dedup();
-    rows
+    let (width, n) = (idx.len(), sol.rows.len());
+    if width == 0 || n == 0 {
+        // Every row of width 0 is the same empty row.
+        let len = if width == 0 { n.min(1) } else { 0 };
+        return SymTable {
+            width,
+            len,
+            cells: Vec::new(),
+        };
+    }
+    let mut cells = Vec::with_capacity(n * width);
+    for row in &sol.rows {
+        cells.extend(idx.iter().map(|&i| row[i]));
+    }
+    drop(sol);
+
+    // The per-answer rank, dense up to the answer's largest symbol.
+    const UNSEEN: u32 = u32::MAX;
+    let top = cells.iter().map(|s| s.0).max().unwrap_or(0) as usize;
+    let mut rank = vec![UNSEEN; top + 1];
+    let mut distinct = Vec::new();
+    for &s in &cells {
+        if rank[s.0 as usize] == UNSEEN {
+            rank[s.0 as usize] = 0;
+            distinct.push(s);
+        }
+    }
+    let mut by_text: Vec<(&str, Sym)> =
+        terms(st, &distinct).zip(distinct.iter().copied()).collect();
+    by_text.sort_unstable();
+    let mut buckets = 0;
+    for (k, &(text, s)) in by_text.iter().enumerate() {
+        if k > 0 && by_text[k - 1].0 != text {
+            buckets += 1;
+        }
+        rank[s.0 as usize] = buckets as u32;
+    }
+    buckets += 1;
+    let keys: Vec<u32> = cells.iter().map(|s| rank[s.0 as usize]).collect();
+    let key_row = |r: usize| &keys[r * width..][..width];
+
+    // LSD radix sort of the row numbers.
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut spare = vec![0; n];
+    let mut start = vec![0usize; buckets + 1];
+    for col in (0..width).rev() {
+        start.fill(0);
+        for &r in &order {
+            start[key_row(r)[col] as usize + 1] += 1;
+        }
+        for b in 1..=buckets {
+            start[b] += start[b - 1];
+        }
+        for &r in &order {
+            let b = key_row(r)[col] as usize;
+            spare[start[b]] = r;
+            start[b] += 1;
+        }
+        std::mem::swap(&mut order, &mut spare);
+    }
+
+    let mut out = Vec::with_capacity(n * width);
+    let mut prev: &[u32] = &[];
+    for &r in &order {
+        let row = key_row(r);
+        if row != prev {
+            out.extend_from_slice(&cells[r * width..][..width]);
+            prev = row;
+        }
+    }
+    SymTable {
+        width,
+        len: out.len() / width,
+        cells: out,
+    }
 }
 
 /// Projected variables handed to the analyzer: a COUNT query projects
@@ -304,11 +447,12 @@ fn projected(q: &SelectQuery) -> Option<&[String]> {
 
 /// Parses and evaluates a SELECT query, returning rows of term strings
 /// in projection order, sorted for determinism: [`select_governed_with`]
-/// under an unlimited governor, over a sketch built on the spot.
+/// under an unlimited governor, over a sketch built on the spot, with
+/// its symbol rows resolved.
 pub fn select(st: &mut TripleStore, query: &str) -> Result<Vec<Vec<String>>, SparqlParseError> {
     let q = parse_select(query, st)?;
     match select_governed_with(st, &q, || StoreSketch::build(st), &Governor::unlimited()) {
-        Ok(outcome) => Ok(outcome.rows.value),
+        Ok(outcome) => Ok(outcome.rows.value.to_strings(st)),
         Err(e) => panic!("ungoverned SELECT failed: {e}"),
     }
 }
@@ -317,8 +461,9 @@ pub fn select(st: &mut TripleStore, query: &str) -> Result<Vec<Vec<String>>, Spa
 /// report and whether a COUNT query degraded to the FPRAS estimate —
 /// the evidence the serve layer's STATS counters report.
 pub struct SelectOutcome {
-    /// The projected rows (or the single-row count), governed.
-    pub rows: Governed<Vec<Vec<String>>>,
+    /// The projected rows as symbols (or the single rendered count),
+    /// governed.
+    pub rows: Governed<SelectRows>,
     /// The static analysis consulted before planning; when it is
     /// `provably_empty` the rows are the short-circuit answer and no
     /// plan ran.
@@ -347,11 +492,13 @@ pub fn select_governed_with<S: Borrow<StoreSketch>>(
     gov: &Governor,
 ) -> Result<SelectOutcome, EvalError> {
     let report = analyze_bgp(st, &q.pattern, projected(q));
-    let count_row = |n: String| vec![vec![n]];
     let (rows, approx_count) = if report.provably_empty {
         let rows = match &q.count {
-            Some(_) => count_row("0".to_owned()),
-            None => Vec::new(),
+            Some(_) => SelectRows::Count("0".to_owned()),
+            None => SelectRows::Table(SymTable {
+                width: q.vars.len(),
+                ..SymTable::default()
+            }),
         };
         (Governed::complete(rows), false)
     } else {
@@ -360,12 +507,12 @@ pub fn select_governed_with<S: Borrow<StoreSketch>>(
         let plan = crate::lftj::plan_sketched(st, sk, &q.pattern).plan;
         if q.count.is_none() {
             let solved = crate::lftj::solve_planned_governed(st, &q.pattern, &plan, gov)?;
-            let rows = solved.map(|solution| project(st, q, &solution));
+            let rows = solved.map(|solution| SelectRows::Table(project(st, q, solution)));
             (rows, false)
         } else {
             let exact = crate::lftj::count_planned_governed(st, &q.pattern, &plan, gov)?;
             if exact.completion.is_complete() {
-                let rows = Governed::complete(count_row(exact.value.to_string()));
+                let rows = Governed::complete(SelectRows::Count(exact.value.to_string()));
                 (rows, false)
             } else {
                 // Budget exhausted mid-count: degrade to the approximate
@@ -378,7 +525,7 @@ pub fn select_governed_with<S: Borrow<StoreSketch>>(
                     BgpCountParams::default(),
                     &gov.successor(),
                 )?;
-                let rows = approx.map(|n| count_row(n.to_string()));
+                let rows = approx.map(|n| SelectRows::Count(n.to_string()));
                 (rows, true)
             }
         }
@@ -536,7 +683,7 @@ mod tests {
         let gov = Governor::unlimited();
         let governed = select_governed_with(&st, &q, || StoreSketch::build(&st), &gov).unwrap();
         assert!(governed.rows.completion.is_complete());
-        assert_eq!(governed.rows.value, plain);
+        assert_eq!(governed.rows.value.to_strings(&st), plain);
     }
 
     #[test]

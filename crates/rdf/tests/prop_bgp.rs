@@ -5,7 +5,8 @@
 //! byte-identical output at any partition count, and yield exact
 //! prefixes of the ungoverned answer when a governor trips.
 
-use kgq_core::govern::{Budget, Completion, Governor};
+use kgq_core::govern::{Budget, Completion, Governor, Interrupt};
+use kgq_core::parallel::set_threads;
 use kgq_rdf::bgp::{Bgp, Binding};
 use kgq_rdf::{lftj, TripleStore};
 use proptest::prelude::*;
@@ -121,6 +122,35 @@ proptest! {
                     &full.rows[..got.value.rows.len()],
                     "partial rows must be a prefix of the full answer"
                 );
+            }
+        }
+    }
+
+    /// A tripped step budget keeps the rows computed before the trip:
+    /// at 1, 2 and 4 chunks they are an exact prefix of the full answer.
+    #[test]
+    fn step_tripped_runs_are_exact_prefixes(
+        triples in proptest::collection::vec((0..TERMS, 0..TERMS, 0..TERMS), 0..40),
+        patterns in proptest::collection::vec(pattern(), 1..5),
+        steps in 1u64..64,
+    ) {
+        let (st, bgp) = setup(&triples, &patterns);
+        let full = lftj::solve(&st, &bgp);
+        for threads in [1usize, 2, 4] {
+            set_threads(threads);
+            let gov = Governor::new(&Budget::unlimited().with_max_steps(steps));
+            let got = lftj::solve_governed(&st, &bgp, &gov)
+                .expect("governed run must not error");
+            match got.completion {
+                Completion::Complete => prop_assert_eq!(&got.value, &full),
+                Completion::Partial(why) => {
+                    prop_assert_eq!(why, Interrupt::StepBudget);
+                    prop_assert_eq!(
+                        &got.value.rows[..],
+                        &full.rows[..got.value.rows.len()],
+                        "threads = {}", threads
+                    );
+                }
             }
         }
     }

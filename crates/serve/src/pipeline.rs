@@ -65,21 +65,17 @@ impl Answer {
         }
     }
 
-    /// The one renderer: a line per row (`cols` writes its tab-separated
-    /// columns), then the trailers; an engine error becomes the `ERR`
-    /// body instead.
-    fn render<T>(
+    /// The one renderer: the rows (`lines` writes one line per row), then
+    /// the trailers; an engine error becomes the `ERR` body instead.
+    fn render<R>(
         mut self,
-        res: Result<Governed<Vec<T>>, EvalError>,
+        res: Result<Governed<R>, EvalError>,
         degraded_cause: &str,
-        mut cols: impl FnMut(&mut String, &T),
+        lines: impl FnOnce(&mut String, &R),
     ) -> Answer {
         match res {
             Ok(res) => {
-                for row in &res.value {
-                    cols(&mut self.body, row);
-                    self.body.push('\n');
-                }
+                lines(&mut self.body, &res.value);
                 self.partial = trailer(&mut self.body, &res, degraded_cause);
             }
             Err(e) => {
@@ -112,6 +108,14 @@ pub fn trailer<T>(out: &mut String, res: &Governed<T>, degraded_cause: &str) -> 
         let _ = writeln!(out, "# degraded: {degraded_cause}");
     }
     res.is_partial()
+}
+
+/// Writes a line per row; `cols` writes its tab-separated columns.
+fn lines<T>(out: &mut String, rows: &[T], mut cols: impl FnMut(&mut String, &T)) {
+    for row in rows {
+        cols(out, row);
+        out.push('\n');
+    }
 }
 
 /// Writes a row of strings as tab-separated columns.
@@ -195,9 +199,8 @@ pub fn rpq(
                 EXHAUSTED,
             )
         };
-        let row = count.map(|count| count.map(|c| vec![c]));
-        return answer.render(row, cause, |out, c| {
-            let _ = write!(out, "{c}");
+        return answer.render(count, cause, |out, c| {
+            let _ = writeln!(out, "{c}");
         });
     }
     // `pairs` and `starts` share one compiled product via the cache
@@ -205,15 +208,17 @@ pub fn rpq(
     let compiled = cache.get_or_compile_governed(&view, g.generation(), expr, gov);
     if op == RpqOp::Pairs {
         let pairs = scanned(compiled, |ev| ev.pairs_governed(gov));
-        answer.render(pairs, EXHAUSTED, |out, &(a, b)| {
-            out.push_str(names.node_name(a));
-            out.push('\t');
-            out.push_str(names.node_name(b));
+        answer.render(pairs, EXHAUSTED, |out, rows| {
+            lines(out, rows, |out, &(a, b)| {
+                out.push_str(names.node_name(a));
+                out.push('\t');
+                out.push_str(names.node_name(b));
+            })
         })
     } else {
         let starts = scanned(compiled, |ev| ev.matching_starts_governed(gov));
-        answer.render(starts, EXHAUSTED, |out, &n| {
-            out.push_str(names.node_name(n))
+        answer.render(starts, EXHAUSTED, |out, rows| {
+            lines(out, rows, |out, &n| out.push_str(names.node_name(n)))
         })
     }
 }
@@ -247,12 +252,15 @@ pub fn cypher(
         return answer;
     }
     let rows = kgq_cypher::execute_governed(g, q, cache, gov);
-    answer.render(rows, EXHAUSTED, |out, row| tabbed(out, row))
+    answer.render(rows, EXHAUSTED, |out, rows| {
+        lines(out, rows, |out, row| tabbed(out, row))
+    })
 }
 
 /// A SPARQL `SELECT` — rows, or the single-row `COUNT(*)` — over a
 /// triple store. `sketch` supplies the planner statistics and is only
-/// called when a plan is needed (not for a provably-empty pattern).
+/// called when a plan is needed (not for a provably-empty pattern). The
+/// rows stay term symbols until they are written into the body.
 pub fn sparql<S: Borrow<StoreSketch>>(
     st: &TripleStore,
     sketch: impl FnOnce() -> S,
@@ -269,7 +277,7 @@ pub fn sparql<S: Borrow<StoreSketch>>(
         }
         Err(e) => (Answer::analyzed(&[]), Err(e)),
     };
-    answer.render(rows, EXHAUSTED, |out, row| tabbed(out, row))
+    answer.render(rows, EXHAUSTED, |out, rows| rows.write(st, out))
 }
 
 /// What an `ANALYZE` request (or a `--explain` flag) inspects: a parsed

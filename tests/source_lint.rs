@@ -727,6 +727,8 @@ const SINGLE_BODY: &[(&str, &str, &str)] = &[
     ("crates/rdf/src/lftj.rs", "leapfrog", ".seek("),
     // The `Count` DP: the only relaxation of a product transition.
     ("crates/core/src/count.rs", "dp", "checked_add(c)"),
+    // SPARQL rows stay symbols: the only place they become strings.
+    ("crates/rdf/src/sparql.rs", "terms", "term_str("),
 ];
 
 #[test]
