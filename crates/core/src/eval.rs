@@ -26,14 +26,14 @@
 use crate::automata::Nfa;
 use crate::bitkernel::{ReachKernel, BATCH};
 use crate::expr::PathExpr;
-use crate::govern::{fault_point, isolate, EvalError, Governed, Governor, Interrupt};
+use crate::govern::{fault_point, EvalError, Governed, Governor};
 use crate::model::PathGraph;
+use crate::parallel::{partitioned, ungoverned};
 use crate::path::Path;
 use crate::product::{PState, Product};
 use kgq_graph::{EdgeId, NodeId};
-use rayon::prelude::*;
 use std::collections::VecDeque;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Compiled evaluator for one expression over one graph.
 ///
@@ -170,13 +170,13 @@ impl Evaluator {
         self.scan(Some(gov), false, append_batch_starts)
     }
 
-    /// The one multi-source scan: sweeps every [`BATCH`]-sized chunk of
-    /// the node range and lets `emit` append that batch's answers, in
-    /// source order at every thread count. Under a governor each batch is
-    /// panic-isolated and budgeted, answers are charged to the result
-    /// budget when `meter_results`, and the first interrupt cuts the
-    /// value to an exact prefix of the full answer (whole batches, then
-    /// whole items). With `None` no accounting runs at all.
+    /// The one multi-source scan: one [`partitioned`] part per
+    /// [`BATCH`]-sized chunk of the node range, each sweeping its batch
+    /// and letting `emit` append that batch's answers, in source order at
+    /// every thread count. Under a governor each batch is budgeted and
+    /// the answer is an exact prefix of the full one, with merged answers
+    /// admitted to the result budget when `meter_results`. With `None` no
+    /// accounting runs at all.
     fn scan<T: Send>(
         &self,
         gov: Option<&Governor>,
@@ -186,59 +186,28 @@ impl Evaluator {
         let kernel = self.kernel();
         let nodes: Vec<NodeId> = (0..self.product.node_count() as u32).map(NodeId).collect();
         let nb = nodes.len().div_ceil(BATCH);
-        let meter = gov.filter(|_| meter_results);
-        let batch = |i: usize, scratch: &mut Vec<Vec<NodeId>>, out: &mut Vec<T>| {
-            let chunk = &nodes[i * BATCH..((i + 1) * BATCH).min(nodes.len())];
-            let Some(gov) = gov else {
-                let visited = kernel.sweep(&self.product, chunk);
-                emit(kernel, chunk, &visited, scratch, out);
-                return Ok(());
+        // Bucket scratch outlives its batch, so the sequential scan reuses
+        // the capacity earlier batches grew (every push and pop leaves the
+        // pool valid, so a poisoned lock is recovered).
+        let buckets = Mutex::new(Vec::new());
+        let pool = || buckets.lock().unwrap_or_else(PoisonError::into_inner);
+        partitioned(nb, nb, gov, meter_results, |batch, out| {
+            let chunk = &nodes[batch.start * BATCH..(batch.end * BATCH).min(nodes.len())];
+            let visited = match gov {
+                None => kernel.sweep(&self.product, chunk),
+                Some(gov) => {
+                    fault_point!("eval::bfs");
+                    kernel.sweep_governed(&self.product, chunk, gov)?
+                }
             };
-            isolate(|| {
-                fault_point!("eval::bfs");
-                // An already-tripped governor stops remaining batches
-                // immediately instead of letting them finish a sweep.
-                if let Some(why) = gov.trip_state() {
-                    return Err(why);
-                }
-                let visited = kernel.sweep_governed(&self.product, chunk, gov)?;
-                emit(kernel, chunk, &visited, scratch, out);
+            let mut scratch = pool().pop().unwrap_or_default();
+            emit(kernel, chunk, &visited, &mut scratch, out);
+            pool().push(scratch);
+            if let Some(gov) = gov {
                 kernel.release_sweep(gov);
-                Ok(())
-            })
-        };
-        let mut out: Vec<T> = Vec::new();
-        if crate::parallel::effective_threads() <= 1 || nb < 2 {
-            // Fused sequential path: each batch appends straight into the
-            // accumulator through reusable pre-sized buckets, so the
-            // multi-million-pair answers are written once, not copied
-            // batch-by-batch.
-            let mut scratch = Vec::new();
-            for i in 0..nb {
-                let before = out.len();
-                let landed = batch(i, &mut scratch, &mut out);
-                if let Some(why) = cut_prefix(&mut out, before, landed, meter)? {
-                    return Ok(Governed::partial(out, why));
-                }
             }
-        } else {
-            let per_batch: Vec<Result<Vec<T>, EvalError>> = (0..nb)
-                .into_par_iter()
-                .map(|i| {
-                    let mut items = Vec::new();
-                    batch(i, &mut Vec::new(), &mut items).map(|()| items)
-                })
-                .collect();
-            out.reserve(per_batch.iter().flatten().map(Vec::len).sum());
-            for items in per_batch {
-                let before = out.len();
-                let landed = items.map(|items| out.extend(items));
-                if let Some(why) = cut_prefix(&mut out, before, landed, meter)? {
-                    return Ok(Governed::partial(out, why));
-                }
-            }
-        }
-        Ok(Governed::complete(out))
+            Ok(())
+        })
     }
 
     /// Single-threaded [`Evaluator::pairs`] (reference implementation).
@@ -440,47 +409,6 @@ fn append_batch_starts(
             .filter(|&(j, _)| matched >> j & 1 == 1)
             .map(|(_, &v)| v),
     );
-}
-
-/// Settles one batch of [`Evaluator::scan`] that appended `out[before..]`:
-/// charges those items to `meter` one by one and truncates at the first
-/// refusal, or drops them all when the batch itself was interrupted.
-/// Returns the interrupt that ends the scan, if any; charging happens on
-/// the assembling thread, in source order, so the prefix length under a
-/// result budget is deterministic. Worker panics propagate as errors.
-fn cut_prefix<T>(
-    out: &mut Vec<T>,
-    before: usize,
-    landed: Result<(), EvalError>,
-    meter: Option<&Governor>,
-) -> Result<Option<Interrupt>, EvalError> {
-    match landed {
-        Ok(()) => {
-            if let Some(gov) = meter {
-                for idx in before..out.len() {
-                    if let Err(why) = gov.charge_results(1) {
-                        out.truncate(idx);
-                        return Ok(Some(why));
-                    }
-                }
-            }
-            Ok(None)
-        }
-        Err(EvalError::Interrupted(why)) => {
-            out.truncate(before);
-            Ok(Some(why))
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// Unwraps a scan that ran without a governor, which cannot be
-/// interrupted.
-fn ungoverned<T>(res: Result<Governed<T>, EvalError>) -> T {
-    match res {
-        Ok(governed) => governed.value,
-        Err(e) => unreachable!("ungoverned scan failed: {e}"),
-    }
 }
 
 /// All matching paths from `a` to `b` of length at most `max_len`,

@@ -20,9 +20,10 @@
 //!   "slice or iterate" seam: one decode per `(node, label)` expansion
 //!   feeds all 64 source lanes of the batch, which is what amortizes
 //!   packed-decode cost to ≈ the raw slice walk;
-//! * evaluation is sharded by source range into 64-lane batches;
-//!   batch results are concatenated in batch order, so output is
-//!   byte-identical at any `chunks`/thread count;
+//! * evaluation is sharded by source range into 64-lane batches, run as
+//!   [`crate::parallel::partitioned`] parts of contiguous batches (one
+//!   sweep matrix per part) and concatenated in batch order, so output
+//!   is byte-identical at any `chunks`/thread count;
 //! * governance: the sweep matrix is charged to the governor's memory
 //!   budget up front per worker (released after), expansions tick the
 //!   step budget, result extraction charges per pair and truncates to
@@ -39,7 +40,8 @@
 
 use crate::automata::{Nfa, Trans};
 use crate::expr::{PathExpr, Test};
-use crate::govern::{isolate, EvalError, Governed, Governor, Interrupt, Ticker};
+use crate::govern::{EvalError, Governed, Governor, Interrupt, Ticker};
+use crate::parallel::{partitioned, ungoverned};
 use kgq_graph::packed::PackedView;
 use kgq_graph::{LabelIndex, NodeId, Sym};
 use std::fmt;
@@ -383,15 +385,15 @@ impl Sweep {
     }
 
     /// Extracts the batch's `(source, target)` pairs in lane-major,
-    /// target-ascending order. `limit` bounds how many pairs may still
-    /// be emitted (result budget); emission stops exactly there.
+    /// target-ascending order, charging each to `gov`'s result budget;
+    /// emission stops exactly at the first refusal.
     fn extract_pairs(
         &mut self,
         dfa: &LabelDfa,
         s0: u32,
         lanes: u32,
         out: &mut Vec<(u32, u32)>,
-        gov: Option<&Governor>,
+        gov: &Governor,
     ) -> Result<(), Interrupt> {
         self.touched.sort_unstable();
         let nq = self.nq;
@@ -419,9 +421,7 @@ impl Sweep {
         }
         for (lane, targets) in per_lane.into_iter().enumerate() {
             for v in targets {
-                if let Some(gov) = gov {
-                    gov.charge_results(1)?;
-                }
+                gov.charge_results(1)?;
                 out.push((s0 + lane as u32, v));
             }
         }
@@ -450,15 +450,6 @@ pub struct ScaleEvaluator<'a, A: LabelAdjacency> {
     dfa: LabelDfa,
 }
 
-/// Contiguous `i`-th of `chunks` slices of `len` items (same splitting
-/// as the LFTJ domain partitioner).
-fn chunk_bounds(len: usize, chunks: usize, i: usize) -> Range<usize> {
-    let chunks = chunks.max(1);
-    let lo = (len as u128 * i as u128 / chunks as u128) as usize;
-    let hi = (len as u128 * (i + 1) as u128 / chunks as u128) as usize;
-    lo..hi
-}
-
 impl<'a, A: LabelAdjacency> ScaleEvaluator<'a, A> {
     /// Pairs an adjacency with a compiled label automaton.
     pub fn new(adj: &'a A, dfa: LabelDfa) -> Self {
@@ -474,12 +465,7 @@ impl<'a, A: LabelAdjacency> ScaleEvaluator<'a, A> {
     /// in 64-lane batches over `chunks` workers. Output is concatenated
     /// in batch order: byte-identical for every `chunks` value.
     pub fn pairs(&self, sources: Range<u32>, chunks: usize) -> Vec<(u32, u32)> {
-        match self.pairs_governed(sources, chunks, &Governor::unlimited()) {
-            Ok(g) => g.value,
-            // Unreachable: an unlimited governor cannot trip, and
-            // worker panics surface as Err.
-            Err(_) => Vec::new(),
-        }
+        ungoverned(self.pairs_governed(sources, chunks, &Governor::unlimited()))
     }
 
     /// Governed [`ScaleEvaluator::pairs`]: exact-prefix results, with
@@ -490,36 +476,14 @@ impl<'a, A: LabelAdjacency> ScaleEvaluator<'a, A> {
         chunks: usize,
         gov: &Governor,
     ) -> Result<Governed<Vec<(u32, u32)>>, EvalError> {
-        let per_batch = self.run_batches(sources, chunks, gov, |sweep, dfa, s0, lanes, gov| {
-            let mut out = Vec::new();
-            let trip = sweep
-                .extract_pairs(dfa, s0, lanes, &mut out, Some(gov))
-                .err();
-            (out, trip)
-        })?;
-        let mut all = Vec::new();
-        let mut why = None;
-        for (pairs, trip) in per_batch {
-            if let Some(pairs) = pairs {
-                all.extend(pairs);
-            }
-            if let Some(t) = trip {
-                why = Some(t);
-                break;
-            }
-        }
-        Ok(match why {
-            None => Governed::complete(all),
-            Some(t) => Governed::partial(all, t),
+        self.sweep_parts(sources, chunks, gov, |sweep, s0, lanes, out| {
+            sweep.extract_pairs(&self.dfa, s0, lanes, out, gov)
         })
     }
 
     /// Sources in `sources` that start at least one matching path.
     pub fn matching_starts(&self, sources: Range<u32>, chunks: usize) -> Vec<u32> {
-        match self.matching_starts_governed(sources, chunks, &Governor::unlimited()) {
-            Ok(g) => g.value,
-            Err(_) => Vec::new(),
-        }
+        ungoverned(self.matching_starts_governed(sources, chunks, &Governor::unlimited()))
     }
 
     /// Governed [`ScaleEvaluator::matching_starts`].
@@ -529,132 +493,68 @@ impl<'a, A: LabelAdjacency> ScaleEvaluator<'a, A> {
         chunks: usize,
         gov: &Governor,
     ) -> Result<Governed<Vec<u32>>, EvalError> {
-        let per_batch = self.run_batches(sources, chunks, gov, |sweep, dfa, s0, lanes, gov| {
-            let matched = sweep.extract_starts(dfa, lanes);
-            let mut out = Vec::new();
-            let mut trip = None;
-            let mut m = matched;
+        self.sweep_parts(sources, chunks, gov, |sweep, s0, lanes, out| {
+            let mut m = sweep.extract_starts(&self.dfa, lanes);
             while m != 0 {
                 let lane = m.trailing_zeros();
                 m &= m - 1;
-                if let Err(t) = gov.charge_results(1) {
-                    trip = Some(t);
-                    break;
-                }
+                gov.charge_results(1)?;
                 out.push(s0 + lane);
             }
-            (out, trip)
-        })?;
-        let mut all = Vec::new();
-        let mut why = None;
-        for (starts, trip) in per_batch {
-            if let Some(starts) = starts {
-                all.extend(starts);
-            }
-            if let Some(t) = trip {
-                why = Some(t);
-                break;
-            }
-        }
-        Ok(match why {
-            None => Governed::complete(all),
-            Some(t) => Governed::partial(all, t),
+            Ok(())
         })
     }
 
-    /// Runs every 64-lane batch of `sources` across `chunks` workers,
-    /// applying `extract` to each completed sweep. Returns per-batch
-    /// results in batch order; a tripped batch contributes `None` and
-    /// its [`Interrupt`] (its sweep output is dropped whole, so the
-    /// assembled prefix ends on a batch boundary), while `extract`'s
-    /// own trip keeps its partial output so result exhaustion can end
-    /// *inside* a batch with an exact pair count.
-    #[allow(clippy::type_complexity)]
-    fn run_batches<T: Send>(
+    /// Runs every 64-lane batch of `sources` as [`partitioned`] work over
+    /// `chunks` parts, each part with its own [`Sweep`], and lets
+    /// `extract` append each completed sweep's answers. A trip inside a
+    /// sweep drops that batch whole, so the prefix ends on a batch
+    /// boundary; `extract`'s own trip keeps what it appended, so result
+    /// exhaustion ends *inside* a batch at an exact count.
+    fn sweep_parts<T: Send>(
         &self,
         sources: Range<u32>,
         chunks: usize,
         gov: &Governor,
-        extract: impl Fn(&mut Sweep, &LabelDfa, u32, u32, &Governor) -> (T, Option<Interrupt>) + Sync,
-    ) -> Result<Vec<(Option<T>, Option<Interrupt>)>, EvalError> {
+        extract: impl Fn(&mut Sweep, u32, u32, &mut Vec<T>) -> Result<(), Interrupt> + Sync,
+    ) -> Result<Governed<Vec<T>>, EvalError> {
         let n = self.adj.node_count();
         let sources = sources.start.min(n)..sources.end.min(n);
-        let nbatches = (sources.len() as u64).div_ceil(BATCH as u64) as usize;
-        let chunks = chunks.max(1).min(nbatches.max(1));
-        let worker = |c: usize| -> Result<Vec<(Option<T>, Option<Interrupt>)>, EvalError> {
-            isolate(|| {
-                let range = chunk_bounds(nbatches, chunks, c);
-                if range.is_empty() {
-                    return Ok(Vec::new());
-                }
-                let sweep_bytes = self.dfa.sweep_bytes(n);
-                if let Err(t) = gov.charge_memory(sweep_bytes) {
-                    return Ok(vec![(None, Some(t))]);
-                }
+        let nbatches = sources.len().div_ceil(BATCH);
+        partitioned(nbatches, chunks, Some(gov), false, |batches, out| {
+            let sweep_bytes = self.dfa.sweep_bytes(n);
+            // The worklists are reused scratch: their footprint is the
+            // high-water mark across batches, not the sum, so only growth
+            // beyond the previous peak is charged.
+            let mut touched_hw = 0u64;
+            let swept = gov.charge_memory(sweep_bytes).and_then(|()| {
                 let mut sweep = Sweep::new(n, self.dfa.nq);
                 let mut ticker = Ticker::new(gov);
-                // The worklists are reused scratch: their footprint is
-                // the high-water mark across batches, not the sum, so
-                // only growth beyond the previous peak is charged.
-                let mut touched_hw = 0u64;
-                let mut results = Vec::with_capacity(range.len());
-                for b in range {
+                for b in batches {
                     // Another worker (or an earlier batch) tripped the
                     // shared governor: stop before sweeping.
                     if let Some(t) = gov.trip_state() {
-                        results.push((None, Some(t)));
-                        break;
+                        return Err(t);
                     }
                     let s0 = sources.start + (b * BATCH) as u32;
                     let s1 = sources.end.min(s0 + BATCH as u32);
-                    let swept = sweep
-                        .run(self.adj, &self.dfa, s0, s1, &mut ticker)
-                        .and_then(|()| {
-                            let bytes = sweep.touched.len() as u64 * 8;
-                            if bytes > touched_hw {
-                                // Record the peak before charging: the
-                                // ledger counts the bytes even when the
-                                // charge trips, and the final release
-                                // must match either way.
-                                let grown = bytes - touched_hw;
-                                touched_hw = bytes;
-                                gov.charge_memory(grown)
-                            } else {
-                                Ok(())
-                            }
-                        });
-                    match swept {
-                        Ok(()) => {
-                            let (out, trip) = extract(&mut sweep, &self.dfa, s0, s1 - s0, gov);
-                            let stop = trip.is_some();
-                            results.push((Some(out), trip));
-                            if stop {
-                                break;
-                            }
-                        }
-                        Err(t) => {
-                            // Drop the incomplete batch; record why.
-                            results.push((None, Some(t)));
-                            break;
-                        }
+                    sweep.run(self.adj, &self.dfa, s0, s1, &mut ticker)?;
+                    let bytes = sweep.touched.len() as u64 * 8;
+                    if bytes > touched_hw {
+                        // Record the peak before charging: the ledger
+                        // counts the bytes even when the charge trips,
+                        // and the final release must match either way.
+                        let grown = bytes - touched_hw;
+                        touched_hw = bytes;
+                        gov.charge_memory(grown)?;
                     }
+                    extract(&mut sweep, s0, s1 - s0, out)?;
                 }
-                gov.release_memory(sweep_bytes + touched_hw);
-                Ok(results)
-            })
-        };
-        let per_chunk: Vec<Result<Vec<(Option<T>, Option<Interrupt>)>, EvalError>> = if chunks == 1
-        {
-            vec![worker(0)]
-        } else {
-            use rayon::prelude::*;
-            (0..chunks).into_par_iter().map(worker).collect()
-        };
-        let mut flat = Vec::with_capacity(nbatches);
-        for r in per_chunk {
-            flat.extend(r?);
-        }
-        Ok(flat)
+                Ok(())
+            });
+            gov.release_memory(sweep_bytes + touched_hw);
+            swept
+        })
     }
 }
 
@@ -735,24 +635,17 @@ pub fn triangle_count<A: LabelAdjacency>(
 ) -> Result<Governed<TriangleCount>, EvalError> {
     let n = adj.node_count();
     let arange = arange.start.min(n)..arange.end.min(n);
-    let len = arange.len();
-    let chunks = chunks.max(1).min(len.max(1));
-    let worker = |ci: usize| -> Result<(TriangleCount, Option<Interrupt>), EvalError> {
-        isolate(|| {
-            let r = chunk_bounds(len, chunks, ci);
-            let mut ticker = Ticker::new(gov);
-            let mut scratch_hw = 0u64;
-            let (mut bufb, mut bufc) = (Vec::new(), Vec::new());
-            let mut tc = TriangleCount::default();
-            let mut why = None;
-            for off in r {
-                if let Some(t) = gov.trip_state() {
-                    why = Some(t);
-                    break;
-                }
-                let a = arange.start + off as u32;
-                let (count0, sample0) = (tc.count, tc.sample.len());
-                if let Err(t) = close_wedges(
+    let parts = partitioned(arange.len(), chunks, Some(gov), false, |apexes, out| {
+        let mut ticker = Ticker::new(gov);
+        let mut scratch_hw = 0u64;
+        let (mut bufb, mut bufc) = (Vec::new(), Vec::new());
+        let mut tc = TriangleCount::default();
+        let mut closed = Ok(());
+        for off in apexes {
+            let a = arange.start + off as u32;
+            let (count0, sample0) = (tc.count, tc.sample.len());
+            closed = gov.trip_state().map_or(Ok(()), Err).and_then(|()| {
+                close_wedges(
                     adj,
                     a,
                     labels,
@@ -763,44 +656,29 @@ pub fn triangle_count<A: LabelAdjacency>(
                     &mut scratch_hw,
                     &mut tc,
                     sample_cap,
-                ) {
-                    // Roll the partial apex back so the prefix ends on
-                    // an apex boundary.
-                    tc.count = count0;
-                    tc.sample.truncate(sample0);
-                    why = Some(t);
-                    break;
-                }
-            }
-            gov.release_memory(scratch_hw);
-            Ok((tc, why))
-        })
-    };
-    let per_chunk: Vec<Result<(TriangleCount, Option<Interrupt>), EvalError>> = if chunks == 1 {
-        vec![worker(0)]
-    } else {
-        use rayon::prelude::*;
-        (0..chunks).into_par_iter().map(worker).collect()
-    };
-    let mut total = TriangleCount::default();
-    let mut why = None;
-    for r in per_chunk {
-        let (tc, trip) = r?;
-        total.count += tc.count;
-        for t in tc.sample {
-            if total.sample.len() < sample_cap {
-                total.sample.push(t);
+                )
+            });
+            if closed.is_err() {
+                // Roll the partial apex back so the prefix ends on an
+                // apex boundary.
+                tc.count = count0;
+                tc.sample.truncate(sample0);
+                break;
             }
         }
-        if let Some(t) = trip {
-            why = Some(t);
-            break;
+        gov.release_memory(scratch_hw);
+        out.push(tc);
+        closed
+    })?;
+    Ok(parts.map(|parts| {
+        let mut total = TriangleCount::default();
+        for tc in parts {
+            total.count += tc.count;
+            let room = sample_cap - total.sample.len();
+            total.sample.extend(tc.sample.into_iter().take(room));
         }
-    }
-    Ok(match why {
-        None => Governed::complete(total),
-        Some(t) => Governed::partial(total, t),
-    })
+        total
+    }))
 }
 
 #[cfg(test)]
@@ -912,28 +790,96 @@ mod tests {
 
     #[test]
     fn governed_results_truncate_to_an_exact_prefix() {
-        let mut g = test_graph(7);
+        // Five 64-source batches, so chunks 2 and 4 really split them.
+        let mut g = gnm_labeled(300, 900, &["node"], &["a", "b", "c"], 7);
         let idx = LabelIndex::build(&g);
+        let packed = PackedLabelIndex::from_labeled(&g).expect("pack");
         let n = g.node_count() as u32;
         let dfa = dfa_for(&mut g, &idx, "(a+b)*/c");
         let raw = RawAdjacency(&idx);
-        let ev = ScaleEvaluator::new(&raw, dfa);
+        let pk = PackedAdjacency(packed.view());
+        check_prefixes("raw", &ScaleEvaluator::new(&raw, dfa.clone()), n);
+        check_prefixes("packed", &ScaleEvaluator::new(&pk, dfa), n);
+    }
+
+    fn check_prefixes<A: LabelAdjacency>(name: &str, ev: &ScaleEvaluator<'_, A>, n: u32) {
         let full = ev.pairs(0..n, 1);
         assert!(full.len() > 8, "need enough answers to truncate");
-        let budget = Budget::unlimited().with_max_results(5);
-        let got = ev
-            .pairs_governed(0..n, 1, &Governor::new(&budget))
-            .expect("governed");
-        assert!(got.is_partial());
-        assert_eq!(got.value, full[..5].to_vec(), "exact 5-pair prefix");
-        // A step budget trips mid-sweep: the result is a batch-boundary
-        // prefix of the full answer.
-        let budget = Budget::unlimited().with_max_steps(40);
-        let got = ev
-            .pairs_governed(0..n, 1, &Governor::new(&budget))
-            .expect("governed");
-        assert!(got.is_partial());
-        assert!(full.starts_with(&got.value));
+        for chunks in [1, 2, 4] {
+            let at = format!("{name} chunks={chunks}");
+            let budget = Budget::unlimited().with_max_results(5);
+            let got = ev
+                .pairs_governed(0..n, chunks, &Governor::new(&budget))
+                .expect("governed");
+            assert!(got.is_partial(), "{at}");
+            assert!(full.starts_with(&got.value), "{at}");
+            // Parts running side by side share the result budget, so only
+            // a lone part is sure to reach all five.
+            if chunks == 1 {
+                assert_eq!(got.value, full[..5].to_vec(), "{at}: exact 5-pair prefix");
+            }
+            assert!(got.value.len() <= 5, "{at}");
+            // A step budget trips mid-sweep: the result is a
+            // batch-boundary prefix of the full answer.
+            let budget = Budget::unlimited().with_max_steps(40);
+            let got = ev
+                .pairs_governed(0..n, chunks, &Governor::new(&budget))
+                .expect("governed");
+            assert!(got.is_partial(), "{at}");
+            assert!(full.starts_with(&got.value), "{at}");
+        }
+    }
+
+    /// An adjacency that panics when asked for the neighbors of one node.
+    struct PanicsAt<'a>(RawAdjacency<'a>, u32);
+
+    impl LabelAdjacency for PanicsAt<'_> {
+        fn node_count(&self) -> u32 {
+            self.0.node_count()
+        }
+        fn out_into(&self, v: u32, l: u32, buf: &mut Vec<u32>) {
+            assert!(v != self.1, "adjacency fault at node {v}");
+            self.0.out_into(v, l, buf);
+        }
+        fn in_into(&self, v: u32, l: u32, buf: &mut Vec<u32>) {
+            self.0.in_into(v, l, buf);
+        }
+        fn out_degree(&self, v: u32, l: u32) -> usize {
+            self.0.out_degree(v, l)
+        }
+        fn contains_out(&self, v: u32, l: u32, x: u32) -> bool {
+            self.0.contains_out(v, l, x)
+        }
+        fn out_sorted(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_is_never_an_empty_answer() {
+        let mut g = gnm_labeled(200, 600, &["node"], &["a", "b", "c"], 10);
+        let idx = LabelIndex::build(&g);
+        let n = g.node_count() as u32;
+        let dfa = dfa_for(&mut g, &idx, "(a+b)*/c");
+        let adj = PanicsAt(RawAdjacency(&idx), 150);
+        let ev = ScaleEvaluator::new(&adj, dfa);
+        let panicked = |f: &dyn Fn()| {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+                .expect_err("the ungoverned entry must panic");
+            crate::govern::panic_message(&*payload)
+        };
+        for chunks in [1, 2, 4] {
+            let msg = panicked(&|| drop(ev.pairs(0..n, chunks)));
+            assert_eq!(msg, "adjacency fault at node 150", "pairs chunks={chunks}");
+            let msg = panicked(&|| drop(ev.matching_starts(0..n, chunks)));
+            assert_eq!(msg, "adjacency fault at node 150", "starts chunks={chunks}");
+            let gov = Governor::unlimited();
+            let want = Err(EvalError::Panic("adjacency fault at node 150".into()));
+            assert_eq!(ev.pairs_governed(0..n, chunks, &gov).map(|g| g.value), want);
+            let want = Err(EvalError::Panic("adjacency fault at node 150".into()));
+            let got = ev.matching_starts_governed(0..n, chunks, &gov);
+            assert_eq!(got.map(|g| g.value), want);
+        }
     }
 
     #[test]
@@ -1001,17 +947,29 @@ mod tests {
     }
 
     #[test]
-    fn chunk_bounds_partition_exactly() {
-        for len in [0usize, 1, 63, 64, 65, 1000] {
-            for chunks in [1usize, 2, 3, 7] {
-                let mut covered = 0;
-                for i in 0..chunks {
-                    let r = chunk_bounds(len, chunks, i);
-                    assert_eq!(r.start, covered);
-                    covered = r.end;
-                }
-                assert_eq!(covered, len);
-            }
+    fn a_step_tripped_triangle_count_is_a_prefix() {
+        let g = gnm_labeled(600, 6000, &["node"], &["a", "b", "c"], 11);
+        let idx = LabelIndex::build(&g);
+        let packed = PackedLabelIndex::from_labeled(&g).expect("pack");
+        let n = g.node_count() as u32;
+        let dense = |l: &str| idx.dense_id(g.consts().get(l).expect(l)).expect(l);
+        let labels = (dense("a"), dense("b"), dense("c"));
+        let pk = PackedAdjacency(packed.view());
+        let full = triangle_count(&pk, labels, 0..n, 1, &Governor::unlimited(), 8).expect("count");
+        assert!(full.value.count > 0, "need triangles to cut");
+        for chunks in [1, 2, 4] {
+            let gov = Governor::new(&Budget::unlimited().with_max_steps(500));
+            let got = triangle_count(&pk, labels, 0..n, chunks, &gov, 8).expect("count");
+            assert_eq!(
+                got.completion,
+                crate::govern::Completion::Partial(Interrupt::StepBudget),
+                "chunks={chunks}"
+            );
+            assert!(got.value.count <= full.value.count, "chunks={chunks}");
+            assert!(
+                full.value.sample.starts_with(&got.value.sample),
+                "chunks={chunks}"
+            );
         }
     }
 }

@@ -13,8 +13,9 @@ use kgq_core::model::LabeledView;
 use kgq_core::parallel::set_threads;
 use kgq_core::parser::parse_expr;
 use kgq_graph::generate::{barabasi_albert, gnm_labeled};
-use kgq_graph::LabeledGraph;
+use kgq_graph::{LabeledGraph, NodeId};
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard};
 
 const ER_EXPRS: [&str; 4] = ["(p+q)*", "p/q^-", "?a/(p)*", "(p/q)*+q^-"];
 const BA_EXPRS: [&str; 3] = ["(link)*", "link/link^-", "?v/(link+link^-)*"];
@@ -63,6 +64,13 @@ fn build(spec: &Spec) -> (LabeledGraph, kgq_core::PathExpr) {
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
+/// The pool size is process-wide: tests that set it hold this guard, so
+/// one that needs a single thread is not switched to four mid-scan.
+fn pin_threads() -> MutexGuard<'static, ()> {
+    static THREADS: Mutex<()> = Mutex::new(());
+    THREADS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -72,6 +80,7 @@ proptest! {
         let view = LabeledView::new(&g);
         let ev = Evaluator::new(&view, &expr);
         let reference = ev.pairs();
+        let _threads = pin_threads();
         for &t in &THREAD_COUNTS {
             set_threads(t);
             let gov = Governor::unlimited();
@@ -88,6 +97,7 @@ proptest! {
         let view = LabeledView::new(&g);
         let ev = Evaluator::new(&view, &expr);
         let reference = ev.matching_starts();
+        let _threads = pin_threads();
         for &t in &THREAD_COUNTS {
             set_threads(t);
             let gov = Governor::unlimited();
@@ -140,12 +150,16 @@ proptest! {
         let view = LabeledView::new(&g);
         let ev = Evaluator::new(&view, &expr);
         let full = ev.pairs();
-        let gov = Governor::new(&Budget::default().with_max_steps(steps));
-        let res = ev.pairs_governed(&gov).unwrap();
-        let took = res.value.len();
-        prop_assert_eq!(&res.value[..], &full[..took], "not a prefix (steps={})", steps);
-        if res.completion == Completion::Complete {
-            prop_assert_eq!(took, full.len());
+        let _threads = pin_threads();
+        for &t in &THREAD_COUNTS {
+            set_threads(t);
+            let gov = Governor::new(&Budget::default().with_max_steps(steps));
+            let res = ev.pairs_governed(&gov).unwrap();
+            let took = res.value.len();
+            prop_assert_eq!(&res.value[..], &full[..took], "not a prefix (steps={}, threads={})", steps, t);
+            if res.completion == Completion::Complete {
+                prop_assert_eq!(took, full.len());
+            }
         }
     }
 
@@ -158,14 +172,18 @@ proptest! {
         let view = LabeledView::new(&g);
         let ev = Evaluator::new(&view, &expr);
         let full = ev.pairs();
-        let gov = Governor::new(
-            &Budget::default().with_deadline(std::time::Duration::from_micros(micros)),
-        );
-        let res = ev.pairs_governed(&gov).unwrap();
-        let took = res.value.len();
-        prop_assert_eq!(&res.value[..], &full[..took], "not a prefix ({}us)", micros);
-        if res.completion == Completion::Complete {
-            prop_assert_eq!(took, full.len());
+        let _threads = pin_threads();
+        for &t in &THREAD_COUNTS {
+            set_threads(t);
+            let gov = Governor::new(
+                &Budget::default().with_deadline(std::time::Duration::from_micros(micros)),
+            );
+            let res = ev.pairs_governed(&gov).unwrap();
+            let took = res.value.len();
+            prop_assert_eq!(&res.value[..], &full[..took], "not a prefix ({}us, threads={})", micros, t);
+            if res.completion == Completion::Complete {
+                prop_assert_eq!(took, full.len());
+            }
         }
     }
 
@@ -178,12 +196,16 @@ proptest! {
         let view = LabeledView::new(&g);
         let ev = Evaluator::new(&view, &expr);
         let full = ev.matching_starts();
-        let gov = Governor::new(&Budget::default().with_max_steps(steps));
-        let res = ev.matching_starts_governed(&gov).unwrap();
-        let took = res.value.len();
-        prop_assert_eq!(&res.value[..], &full[..took], "not a prefix (steps={})", steps);
-        if res.completion == Completion::Complete {
-            prop_assert_eq!(took, full.len());
+        let _threads = pin_threads();
+        for &t in &THREAD_COUNTS {
+            set_threads(t);
+            let gov = Governor::new(&Budget::default().with_max_steps(steps));
+            let res = ev.matching_starts_governed(&gov).unwrap();
+            let took = res.value.len();
+            prop_assert_eq!(&res.value[..], &full[..took], "not a prefix (steps={}, threads={})", steps, t);
+            if res.completion == Completion::Complete {
+                prop_assert_eq!(took, full.len());
+            }
         }
     }
 
@@ -229,4 +251,29 @@ proptest! {
         prop_assert_eq!(cache.hits(), 1);
         prop_assert_eq!(warm.evaluator().pairs(), cold_pairs);
     }
+}
+
+/// With one thread, batches are admitted as they finish: a result budget
+/// that refuses inside the first batch stops the sweep there, so the
+/// scan spends exactly the steps of sweeping that one batch.
+#[test]
+fn a_result_budget_stops_the_sequential_sweep_at_the_first_refused_batch() {
+    let _threads = pin_threads();
+    set_threads(1);
+    let mut g = gnm_labeled(400, 1600, &["a", "b"], &["p", "q"], 3);
+    let e = parse_expr("(p+q)*", g.consts_mut()).unwrap();
+    let view = LabeledView::new(&g);
+    let ev = Evaluator::new(&view, &e);
+    let first: Vec<NodeId> = (0..64).map(NodeId).collect();
+    let one_batch = Governor::unlimited();
+    ev.kernel()
+        .sweep_governed(ev.product(), &first, &one_batch)
+        .unwrap();
+    let all_batches = Governor::unlimited();
+    ev.pairs_governed(&all_batches).unwrap();
+    let capped = Governor::new(&Budget::default().with_max_results(5));
+    let res = ev.pairs_governed(&capped).unwrap();
+    assert_eq!(res.value, ev.pairs()[..5]);
+    assert_eq!(capped.steps_used(), one_batch.steps_used());
+    assert!(one_batch.steps_used() < all_batches.steps_used());
 }

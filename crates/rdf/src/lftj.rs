@@ -22,24 +22,24 @@
 //!   is the `--explain` surface.
 //! * Every execution — rows or count, governed or not — runs one front
 //!   (plan verification, the empty and all-constant cases, the filtered
-//!   tables) and one `leapfrog` intersection. Rows are parallelized by
-//!   splitting the first join variable's matched domain into contiguous
-//!   chunks, one worker per chunk. Workers own private cursors, and chunks
+//!   tables) and one `leapfrog` intersection. Rows run on
+//!   [`kgq_core::parallel::partitioned`], the scan under every parallel
+//!   engine: the first join variable's matched domain is split into
+//!   contiguous chunks, one part per chunk with private cursors, and parts
 //!   are concatenated in domain order, so the output is byte-identical for
 //!   any thread count.
 //! * Under a [`Governor`], every seek and next ticks it through a batched
-//!   [`Ticker`], rows are charged to a [`MemMeter`], workers are
-//!   panic-isolated, and exhaustion returns an exact-prefix [`Governed`]
-//!   `Partial`. The cut happens at the first interrupted chunk, exactly
+//!   [`Ticker`], rows are charged to a [`MemMeter`] and admitted to the
+//!   result budget at the merge, and exhaustion returns an exact-prefix
+//!   [`Governed`] `Partial` cut at the first interrupted part, exactly
 //!   like the kernel scans in `kgq-core`.
 
 use crate::bgp::{Bgp, Binding, TermPattern, TriplePattern, VarName};
 use crate::sketch::{chain_hash, StoreSketch, XorConstraint, ROOT_HASH};
 use crate::store::{IndexOrder, TripleStore};
-use kgq_core::govern::{isolate, EvalError, Governed, Governor, Interrupt, MemMeter, Ticker};
-use kgq_core::parallel::effective_threads;
+use kgq_core::govern::{EvalError, Governed, Governor, Interrupt, MemMeter, Ticker};
+use kgq_core::parallel::{effective_threads, partitioned, ungoverned};
 use kgq_graph::Sym;
-use rayon::prelude::*;
 use std::ops::Range;
 
 /// How one triple pattern participates in the join.
@@ -1096,55 +1096,6 @@ fn join_level(
     Ok(())
 }
 
-/// Runs one contiguous chunk of the first variable's candidate domain
-/// with private cursors. Returns the rows produced (in global order
-/// within the chunk) and the interrupt that stopped it, if any — a
-/// stopped chunk's rows are still an exact prefix of its full output.
-fn run_chunk(
-    engine: &Engine,
-    candidates: &[Sym],
-    gov: Option<&Governor>,
-) -> (Vec<Vec<Sym>>, Option<Interrupt>) {
-    let mut out = Vec::new();
-    let err = run_chunk_inner(engine, candidates, gov, &mut out).err();
-    (out, err)
-}
-
-fn run_chunk_inner(
-    engine: &Engine,
-    candidates: &[Sym],
-    gov: Option<&Governor>,
-    out: &mut Vec<Vec<Sym>>,
-) -> Result<(), Interrupt> {
-    let mut cursors = engine.cursors();
-    let mut ticker = Ticker::maybe(gov);
-    let mut meter = MemMeter::maybe(gov);
-    let mut binding = vec![Sym(0); engine.nvars];
-    let parts = &engine.level_parts[0];
-    for &v in candidates {
-        ticker.tick()?;
-        for &pi in parts {
-            cursors[pi].open_at(v);
-        }
-        binding[0] = v;
-        join_level(
-            engine,
-            &mut cursors,
-            1,
-            &mut binding,
-            &mut ticker,
-            &mut meter,
-            out,
-        )?;
-        for &pi in parts {
-            cursors[pi].up();
-        }
-    }
-    ticker.flush()?;
-    meter.flush()?;
-    Ok(())
-}
-
 /// The answer table: variables in elimination order (the row column
 /// order) and one row per binding, in the engine's canonical order —
 /// lexicographic in the elimination order, identical at any thread count.
@@ -1165,20 +1116,6 @@ impl Solution {
             .collect()
     }
 }
-
-/// Bounds of partition `i` of `len` items split into `chunks` contiguous
-/// near-equal pieces. The product `i * len` is computed in u128 so the
-/// split stays exact for domains near `usize::MAX` (the naive
-/// `i * len / chunks` overflows long before dividing).
-fn chunk_bounds(len: usize, chunks: usize, i: usize) -> Range<usize> {
-    let lo = (i as u128 * len as u128 / chunks as u128) as usize;
-    let hi = ((i + 1) as u128 * len as u128 / chunks as u128) as usize;
-    lo..hi
-}
-
-/// One partition's outcome: its rows plus the interrupt that cut it
-/// short, if any. A panic inside an isolated worker becomes the `Err`.
-type ChunkResult = Result<(Vec<Vec<Sym>>, Option<Interrupt>), EvalError>;
 
 /// Plan-driven execution over `chunks` contiguous partitions of the first
 /// variable's domain, governed when `gov` is given.
@@ -1215,62 +1152,42 @@ fn run(
     if let Err(why) = ticker.flush() {
         return Ok(Governed::partial(solution(Vec::new()), why));
     }
-    let chunks = chunks.clamp(1, candidates.len().max(1));
-
-    let worker = |i: usize| -> ChunkResult {
-        let slice = &candidates[chunk_bounds(candidates.len(), chunks, i)];
-        match gov {
-            Some(gov) => isolate(|| {
-                #[cfg(feature = "fault-injection")]
-                kgq_core::govern::fault::hit("lftj::join");
-                if let Some(t) = gov.trip_state() {
-                    return Err(t);
-                }
-                Ok(run_chunk(&engine, slice, Some(gov)))
-            }),
-            None => Ok(run_chunk(&engine, slice, None)),
+    // One part per contiguous chunk of that domain, with private cursors;
+    // rows a part has computed are admitted to the result budget at the
+    // merge, so a later part's step, deadline or cancel trip keeps them.
+    let rows = partitioned(candidates.len(), chunks, gov, true, |range, out| {
+        #[cfg(feature = "fault-injection")]
+        if gov.is_some() {
+            kgq_core::govern::fault::hit("lftj::join");
         }
-    };
-    let per_chunk: Vec<ChunkResult> = if chunks == 1 {
-        vec![worker(0)]
-    } else {
-        (0..chunks).into_par_iter().map(worker).collect()
-    };
-
-    // Deterministic merge: concatenate chunks in domain order, cutting at
-    // the first interrupted chunk so the result is an exact prefix of the
-    // ungoverned answer. Rows already computed are cut only by the result
-    // budget, so a step, deadline or cancel trip keeps them.
-    let mut rows = Vec::new();
-    let mut why: Option<Interrupt> = None;
-    'merge: for res in per_chunk {
-        match res {
-            Err(EvalError::Interrupted(i)) => {
-                why = Some(i);
-                break 'merge;
+        let mut cursors = engine.cursors();
+        let mut ticker = Ticker::maybe(gov);
+        let mut meter = MemMeter::maybe(gov);
+        let mut binding = vec![Sym(0); engine.nvars];
+        let parts = &engine.level_parts[0];
+        for &v in &candidates[range] {
+            ticker.tick()?;
+            for &pi in parts {
+                cursors[pi].open_at(v);
             }
-            Err(e) => return Err(e),
-            Ok((chunk_rows, interrupted)) => {
-                for row in chunk_rows {
-                    if let Some(gov) = gov {
-                        if let Err(i) = gov.admit_results(1) {
-                            why = Some(i);
-                            break 'merge;
-                        }
-                    }
-                    rows.push(row);
-                }
-                if let Some(i) = interrupted {
-                    why = Some(i);
-                    break 'merge;
-                }
+            binding[0] = v;
+            join_level(
+                &engine,
+                &mut cursors,
+                1,
+                &mut binding,
+                &mut ticker,
+                &mut meter,
+                out,
+            )?;
+            for &pi in parts {
+                cursors[pi].up();
             }
         }
-    }
-    Ok(match why {
-        None => Governed::complete(solution(rows)),
-        Some(i) => Governed::partial(solution(rows), i),
-    })
+        ticker.flush()?;
+        meter.flush()
+    })?;
+    Ok(rows.map(solution))
 }
 
 /// Evaluates a BGP with the leapfrog triejoin, parallelized over
@@ -1282,13 +1199,10 @@ pub fn solve(st: &TripleStore, bgp: &Bgp) -> Solution {
 /// Executes a previously computed [`Plan`] (e.g. after rendering it for
 /// `--explain`) over `chunks` partitions.
 pub fn solve_planned(st: &TripleStore, bgp: &Bgp, plan: &Plan, chunks: usize) -> Solution {
-    match run(st, bgp, plan, chunks.max(1), None) {
-        Ok(g) => g.value,
-        // Ungoverned runs cannot be interrupted or panic, so the only
-        // reachable error is a plan that failed soundness verification —
-        // and executing it anyway would mean wrong answers.
-        Err(e) => panic!("refusing to execute an unsound plan: {e}"),
-    }
+    // Ungoverned runs cannot be interrupted, so an error is a worker's
+    // panic or a plan that failed soundness verification — and executing
+    // that plan anyway would mean wrong answers.
+    ungoverned(run(st, bgp, plan, chunks.max(1), None))
 }
 
 /// Governed evaluation: every seek/next ticks the governor at batch
@@ -1551,45 +1465,6 @@ mod tests {
                 .map(|b| b.into_iter().map(|(k, v)| (k, v.0)).collect())
                 .collect(),
         )
-    }
-
-    #[test]
-    fn chunk_bounds_is_exact_near_usize_max() {
-        // Partitions tile the whole range with no overflow, no gaps and
-        // no overlap, even when `i * len` exceeds usize::MAX.
-        for (len, chunks) in [
-            (usize::MAX, 8),
-            (usize::MAX - 1, 3),
-            (usize::MAX / 2 + 7, 16),
-            (1_000_000, 7),
-        ] {
-            assert_eq!(chunk_bounds(len, chunks, 0).start, 0);
-            assert_eq!(chunk_bounds(len, chunks, chunks - 1).end, len);
-            for i in 1..chunks {
-                let prev = chunk_bounds(len, chunks, i - 1);
-                let cur = chunk_bounds(len, chunks, i);
-                assert_eq!(prev.end, cur.start, "len={len} chunks={chunks} i={i}");
-                assert!(cur.start <= cur.end);
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_bounds_with_more_chunks_than_items() {
-        // chunks > len: every item lands in exactly one (possibly empty)
-        // partition and total coverage is still exact.
-        let (len, chunks) = (3, 10);
-        let mut covered = 0;
-        for i in 0..chunks {
-            let r = chunk_bounds(len, chunks, i);
-            assert!(r.start <= r.end && r.end <= len);
-            covered += r.end - r.start;
-        }
-        assert_eq!(covered, len);
-        // Degenerate but legal: zero items.
-        for i in 0..4 {
-            assert_eq!(chunk_bounds(0, 4, i), 0..0);
-        }
     }
 
     #[test]

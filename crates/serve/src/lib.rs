@@ -22,8 +22,8 @@
 //!   p50/p99 latency) are exposed by the `STATS` verb.
 //!
 //! See DESIGN.md §12 for the architecture and `protocol` for the wire
-//! format. The `kgq serve` CLI subcommand and the `exp_serve` load
-//! generator are the two entry points.
+//! format. The `kgq serve` CLI subcommand is the entry point;
+//! perfbench's `point_reads` workload is its load test.
 
 pub mod client;
 pub mod exec;

@@ -393,8 +393,8 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 /// Counts this process's live threads via `/proc/self/status` — the
-/// leak check used by the serve tests and `exp_serve`. Returns `None`
-/// on platforms without procfs.
+/// leak check of the serve tests (`tests/thread_leak.rs`). Returns
+/// `None` on platforms without procfs.
 pub fn process_thread_count() -> Option<usize> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     status

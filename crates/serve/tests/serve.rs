@@ -88,8 +88,11 @@ fn concurrent_clients_get_byte_identical_results_to_a_solo_run() {
             });
         }
     });
-    // The shared cache served the repeats.
+    // The shared cache served the repeats, and STATS reports it.
     assert!(handle.snapshot().cache().hits() > 0);
+    let stats = solo.stats().unwrap();
+    assert!(stat(&stats, "cache_hits").unwrap() > 0);
+    assert_eq!(stat(&stats, "errors"), Some(0));
     handle.shutdown();
 }
 

@@ -9,7 +9,7 @@
 use kgq_core::Budget;
 use kgq_graph::generate::{contact_network, ContactParams};
 use kgq_rdf::parse_ntriples;
-use kgq_serve::{process_thread_count, serve, stat, Client, ServerConfig};
+use kgq_serve::{process_thread_count, serve, stat, Caps, Client, ServerConfig};
 use std::time::Duration;
 
 #[test]
@@ -36,9 +36,23 @@ fn ping_stats_and_clean_shutdown_without_leaked_threads() {
     let mut c = Client::connect(handle.addr()).expect("connect");
     c.set_timeout(Some(Duration::from_secs(60))).unwrap();
     assert!(c.ping().unwrap());
+    // One request per engine, so the workers and the scans they fan out
+    // have run before the count is taken.
+    let rpq = c.rpq("pairs", "(rides + contact)*", &Caps::none()).unwrap();
+    let cypher = c
+        .cypher(
+            "MATCH (p:person)-[:rides]->(b:bus) RETURN p, b",
+            &Caps::none(),
+        )
+        .unwrap();
+    let sparql = c
+        .sparql("SELECT ?x ?y WHERE { ?x <knows> ?y . }", &Caps::none())
+        .unwrap();
+    assert!(rpq.ok && cypher.ok && sparql.ok);
     let stats = c.stats().unwrap();
     assert_eq!(stat(&stats, "workers"), Some(3));
-    assert!(stat(&stats, "requests").unwrap() >= 1);
+    assert!(stat(&stats, "requests").unwrap() >= 4);
+    assert_eq!(stat(&stats, "errors"), Some(0));
     drop(c);
     handle.shutdown();
     // Every spawned thread (accept, workers, readers) is joined.

@@ -1,6 +1,6 @@
 //! In-repo source lints, run as tier-1 tests and in CI.
 //!
-//! Seven invariants over `crates/*/src`, enforced with std-only file
+//! Nine invariants over `crates/*/src`, enforced with std-only file
 //! walking (no extra dependencies):
 //!
 //! 1. **unwrap/expect ratchet** — non-test library code must not grow
@@ -30,6 +30,11 @@
 //!    pipeline the CLI and the server share, and the engine evaluators)
 //!    routes through a static analyzer before executing; dropping the
 //!    consult fails tier-1.
+//! 8. **one body per algorithm** — an algorithm's inner step occurs in
+//!    one function of its file only.
+//! 9. **one fan-out** — the ordered parallel scans run through
+//!    `kgq_core::parallel::partitioned`; no other file splits its own
+//!    chunks or calls rayon, except the order-free sums exempt by name.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -748,6 +753,51 @@ fn each_algorithm_has_one_body() {
                 "{file}: `{token}` occurs {in_file} time(s), {in_body} of them in fn `{func}`; \
                  the algorithm must have one body"
             ));
+        }
+    }
+    assert!(problems.is_empty(), "\n{}", problems.join("\n"));
+}
+
+/// The ordered scans that run on `parallel::partitioned`: each must
+/// call it.
+const PARTITIONED_SCANS: &[&str] = &[
+    "crates/core/src/eval.rs",
+    "crates/core/src/scale.rs",
+    "crates/rdf/src/lftj.rs",
+];
+
+/// Files that may call rayon: `parallel.rs` itself, and the order-free sums
+/// (a path count and a median of estimates), whose merge is a `sum` or a
+/// sort and so needs no prefix rule.
+const FAN_OUT_ALLOWED: &[&str] = &[
+    "crates/core/src/parallel.rs",
+    "crates/core/src/count.rs",
+    "crates/core/src/approx.rs",
+];
+
+#[test]
+fn partitioned_is_the_only_fan_out() {
+    let mut problems = Vec::new();
+    for path in crate_sources() {
+        let file = rel(&path);
+        let src = fs::read_to_string(&path).expect("readable source file");
+        let code: Vec<&str> = non_test_lines(&src)
+            .into_iter()
+            .map(|l| l.split("//").next().unwrap_or(""))
+            .collect();
+        let has = |token: &str| code.iter().any(|l| l.contains(token));
+        if !FAN_OUT_ALLOWED.contains(&file.as_str()) && (has("par_iter") || has("rayon::")) {
+            problems.push(format!(
+                "{file}: fans out on its own; run the scan through parallel::partitioned"
+            ));
+        }
+        if file != "crates/core/src/parallel.rs" && has("fn chunk_bounds") {
+            problems.push(format!(
+                "{file}: splits its own chunks; parallel::partitioned owns the split"
+            ));
+        }
+        if PARTITIONED_SCANS.contains(&file.as_str()) && !has("partitioned(") {
+            problems.push(format!("{file}: no longer calls parallel::partitioned"));
         }
     }
     assert!(problems.is_empty(), "\n{}", problems.join("\n"));
