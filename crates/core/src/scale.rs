@@ -947,6 +947,27 @@ mod tests {
     }
 
     #[test]
+    fn chunk_bounds_partition_exactly() {
+        // The batch and apex ranges the sweeps and triangle_count hand
+        // their parts tile `0..len` in order, with no gaps or overlap.
+        for len in [0usize, 1, 63, 64, 65, 1000] {
+            for chunks in [1usize, 2, 3, 7] {
+                let parts = ungoverned(partitioned(len, chunks, None, false, |r, out| {
+                    out.push(r);
+                    Ok(())
+                }));
+                assert_eq!(parts.len(), chunks.min(len), "len={len} chunks={chunks}");
+                let mut covered = 0;
+                for r in parts {
+                    assert_eq!(r.start, covered);
+                    covered = r.end;
+                }
+                assert_eq!(covered, len);
+            }
+        }
+    }
+
+    #[test]
     fn a_step_tripped_triangle_count_is_a_prefix() {
         let g = gnm_labeled(600, 6000, &["node"], &["a", "b", "c"], 11);
         let idx = LabelIndex::build(&g);

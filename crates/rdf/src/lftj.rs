@@ -1467,6 +1467,55 @@ mod tests {
         )
     }
 
+    /// The candidate ranges [`partitioned`] hands the leapfrog scan's
+    /// parts, in merge order.
+    fn part_ranges(len: usize, chunks: usize) -> Vec<Range<usize>> {
+        ungoverned(partitioned(len, chunks, None, false, |r, out| {
+            out.push(r);
+            Ok(())
+        }))
+    }
+
+    #[test]
+    fn chunk_bounds_is_exact_near_usize_max() {
+        // Partitions tile the whole range with no overflow, no gaps and
+        // no overlap, even when `i * len` exceeds usize::MAX.
+        for (len, chunks) in [
+            (usize::MAX, 8),
+            (usize::MAX - 1, 3),
+            (usize::MAX / 2 + 7, 16),
+            (1_000_000, 7),
+        ] {
+            let parts = part_ranges(len, chunks);
+            assert_eq!(parts.len(), chunks, "len={len} chunks={chunks}");
+            assert_eq!(parts[0].start, 0);
+            assert_eq!(parts[chunks - 1].end, len);
+            for i in 1..chunks {
+                let (prev, cur) = (&parts[i - 1], &parts[i]);
+                assert_eq!(prev.end, cur.start, "len={len} chunks={chunks} i={i}");
+                assert!(cur.start < cur.end);
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_bounds_with_more_chunks_than_items() {
+        // chunks > len: every item lands in exactly one non-empty
+        // partition and total coverage is still exact.
+        let (len, chunks) = (3, 10);
+        let parts = part_ranges(len, chunks);
+        assert_eq!(parts.len(), len);
+        let mut covered = 0;
+        for r in &parts {
+            assert_eq!(r.start, covered);
+            assert!(r.start < r.end && r.end <= len);
+            covered = r.end;
+        }
+        assert_eq!(covered, len);
+        // Degenerate but legal: zero items run no part at all.
+        assert!(part_ranges(0, 4).is_empty());
+    }
+
     #[test]
     fn triangle_matches_baseline() {
         let mut st = sample();
