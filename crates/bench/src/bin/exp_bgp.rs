@@ -27,7 +27,7 @@
 //! CI can use this binary as a parity smoke test (`--quick` trims sizes
 //! and repetitions to fit a tight time box).
 
-use kgq_bench::timed;
+use kgq_bench::{timed, write_report};
 use kgq_core::parallel::set_threads;
 use kgq_graph::generate::{barabasi_albert, gnm_labeled};
 use kgq_rdf::bgp::{Bgp, Binding};
@@ -253,13 +253,7 @@ fn main() {
     json.push_str(&entries.join(",\n"));
     json.push_str("\n  ]\n}\n");
 
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_bgp.json");
-    std::fs::write(out, &json).expect("write BENCH_bgp.json");
+    write_report(&args, "bgp", &json);
     print!("{json}");
 
     // Headline assertions mirroring the PR's acceptance bar: the cyclic

@@ -18,7 +18,7 @@
 //! CI can use this binary as a parity smoke test (`--quick` trims the
 //! repetitions to fit a tight time box).
 
-use kgq_bench::timed;
+use kgq_bench::{timed, write_report};
 use kgq_core::parallel::set_threads;
 use kgq_core::product::Product;
 use kgq_core::{parse_expr, Evaluator, LabeledView, Nfa, PathExpr};
@@ -190,13 +190,7 @@ fn main() {
     json.push_str(&entries.join(",\n"));
     json.push_str("\n  ]\n}\n");
 
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_kernel.json");
-    std::fs::write(out, &json).expect("write BENCH_kernel.json");
+    write_report(&args, "kernel", &json);
     print!("{json}");
 
     // Headline assertions mirroring the PR's acceptance bar, so CI fails

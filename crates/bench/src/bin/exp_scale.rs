@@ -26,7 +26,7 @@
 //! the raw-adjacency path, so CI can use this binary as an end-to-end
 //! parity smoke test for the packed + mmap stack.
 
-use kgq_bench::timed;
+use kgq_bench::{timed, write_report};
 use kgq_core::govern::{Budget, Governor};
 use kgq_core::parallel::set_threads;
 use kgq_core::parser::parse_expr;
@@ -457,13 +457,7 @@ fn main() {
     );
     json.push_str("  }\n}\n");
 
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_scale.json");
-    orfail(std::fs::write(out, &json), "write BENCH_scale.json");
+    write_report(&args, "scale", &json);
     print!("{json}");
     let _ = std::fs::remove_file(&seg_path);
 

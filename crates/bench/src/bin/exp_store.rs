@@ -43,7 +43,7 @@
 //! must agree with its materialization byte-for-byte. `--quick` trims
 //! sizes for CI; `--out FILE` overrides the report path.
 
-use kgq_bench::{fmt_duration, mean, percentile, print_table, timed};
+use kgq_bench::{fmt_duration, mean, percentile, print_table, timed, write_report};
 use kgq_core::parser::parse_expr;
 use kgq_core::scale::{LabelDfa, PackedAdjacency, ScaleEvaluator};
 use kgq_graph::packed::{PackOptions, PackedLabelIndex, PackedView};
@@ -62,13 +62,6 @@ fn orfail<T, E: std::fmt::Display>(result: Result<T, E>, what: &str) -> T {
         eprintln!("exp_store: {what}: {e}");
         std::process::exit(1);
     })
-}
-
-fn str_flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -589,8 +582,7 @@ fn main() {
     let _ = writeln!(json, "  \"lazy_view_overhead\": {lazy_overhead:.3}");
     json.push_str("}\n");
 
-    let out = str_flag(&args, "--out").unwrap_or("BENCH_store.json");
-    orfail(std::fs::write(out, &json), "write report");
+    write_report(&args, "store", &json);
     print!("{json}");
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -6,6 +6,7 @@
 //! experiment prints the same kind of aligned, self-describing output
 //! recorded in `EXPERIMENTS.md`.
 
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Prints an aligned text table with a header rule.
@@ -77,6 +78,37 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     s[rank.min(s.len()) - 1]
 }
 
+/// Where an experiment's JSON report goes: `--out FILE` when given, else
+/// the committed `BENCH_<name>.json` for a full run. A `--quick` run
+/// without `--out` goes to `target/BENCH_<name>.json`, so a trimmed run
+/// never replaces the committed full-run numbers.
+fn report_path(args: &[String], name: &str) -> PathBuf {
+    let file = format!("BENCH_{name}.json");
+    match args
+        .iter()
+        .position(|a| a == "--out")
+        .and_then(|i| args.get(i + 1))
+    {
+        Some(out) => PathBuf::from(out),
+        None if args.iter().any(|a| a == "--quick") => Path::new("target").join(file),
+        None => PathBuf::from(file),
+    }
+}
+
+/// Writes `json` to [`report_path`], creating `target/` for a quick run;
+/// a failed write ends the process with exit code 1.
+pub fn write_report(args: &[String], name: &str, json: &str) {
+    let path = report_path(args, name);
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    let written = dir
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(&path, json));
+    if let Err(e) = written {
+        eprintln!("exp_{name}: write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,6 +129,23 @@ mod tests {
         assert_eq!(percentile(&xs, 100.0), 4.0);
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
+    }
+
+    #[test]
+    fn quick_reports_stay_out_of_the_committed_files() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            report_path(&args(&["exp"]), "bgp"),
+            Path::new("BENCH_bgp.json")
+        );
+        assert_eq!(
+            report_path(&args(&["exp", "--quick"]), "bgp"),
+            Path::new("target/BENCH_bgp.json")
+        );
+        assert_eq!(
+            report_path(&args(&["exp", "--quick", "--out", "x.json"]), "bgp"),
+            Path::new("x.json")
+        );
     }
 
     #[test]

@@ -125,7 +125,7 @@ impl Evaluator {
     /// fanned out across threads when available. The result is identical
     /// to [`Evaluator::pairs_sequential`] for every thread count.
     pub fn pairs(&self) -> Vec<(NodeId, NodeId)> {
-        ungoverned(self.scan(None, false, ReachKernel::append_batch_pairs))
+        ungoverned(self.scan(None, ReachKernel::append_batch_pairs))
     }
 
     /// Governed [`Evaluator::pairs`]: every 64-source sweep runs under
@@ -139,7 +139,7 @@ impl Evaluator {
         &self,
         gov: &Governor,
     ) -> Result<Governed<Vec<(NodeId, NodeId)>>, EvalError> {
-        self.scan(Some(gov), true, ReachKernel::append_batch_pairs)
+        self.scan(Some(gov), ReachKernel::append_batch_pairs)
     }
 
     /// Node extraction (§4.3): all nodes that *start* a matching path.
@@ -147,7 +147,7 @@ impl Evaluator {
     /// Runs on the bit-parallel kernel, with output identical to
     /// [`Evaluator::matching_starts_sequential`].
     pub fn matching_starts(&self) -> Vec<NodeId> {
-        ungoverned(self.scan(None, false, append_batch_starts))
+        ungoverned(self.scan(None, append_batch_starts))
     }
 
     /// Governed [`Evaluator::matching_starts`]; same partial-prefix
@@ -156,18 +156,7 @@ impl Evaluator {
         &self,
         gov: &Governor,
     ) -> Result<Governed<Vec<NodeId>>, EvalError> {
-        self.scan(Some(gov), true, append_batch_starts)
-    }
-
-    /// [`Evaluator::matching_starts_governed`] without result-budget
-    /// charging: for *internal* scans (e.g. a Cypher prefilter) whose
-    /// output is not a user-visible answer. Steps, memory, deadline and
-    /// cancellation are still enforced.
-    pub fn matching_starts_governed_unmetered(
-        &self,
-        gov: &Governor,
-    ) -> Result<Governed<Vec<NodeId>>, EvalError> {
-        self.scan(Some(gov), false, append_batch_starts)
+        self.scan(Some(gov), append_batch_starts)
     }
 
     /// The one multi-source scan: one [`partitioned`] part per
@@ -175,12 +164,11 @@ impl Evaluator {
     /// and letting `emit` append that batch's answers, in source order at
     /// every thread count. Under a governor each batch is budgeted and
     /// the answer is an exact prefix of the full one, with merged answers
-    /// admitted to the result budget when `meter_results`. With `None` no
-    /// accounting runs at all.
+    /// admitted to the result budget. With `None` no accounting runs at
+    /// all.
     fn scan<T: Send>(
         &self,
         gov: Option<&Governor>,
-        meter_results: bool,
         emit: impl Fn(&ReachKernel, &[NodeId], &[u64], &mut Vec<Vec<NodeId>>, &mut Vec<T>) + Sync,
     ) -> Result<Governed<Vec<T>>, EvalError> {
         let kernel = self.kernel();
@@ -191,7 +179,7 @@ impl Evaluator {
         // pool valid, so a poisoned lock is recovered).
         let buckets = Mutex::new(Vec::new());
         let pool = || buckets.lock().unwrap_or_else(PoisonError::into_inner);
-        partitioned(nb, nb, gov, meter_results, |batch, out| {
+        partitioned(nb, nb, gov, gov.is_some(), |batch, out| {
             let chunk = &nodes[batch.start * BATCH..(batch.end * BATCH).min(nodes.len())];
             let visited = match gov {
                 None => kernel.sweep(&self.product, chunk),

@@ -5,8 +5,8 @@
 //!
 //! 1. faults never poison the [`QueryCache`] — an errored compile leaves
 //!    the map untouched and a retry is byte-identical to a cold run;
-//! 2. no worker thread ever leaks — the thread count returns to its
-//!    baseline after every faulted scan;
+//! 2. no worker thread ever leaks — the rayon shim's live-worker gauge
+//!    returns to its baseline after every faulted scan;
 //! 3. every fault surfaces as a typed [`EvalError`], never an unwinding
 //!    panic or a hang, and the outcome is reproducible from the seed.
 //!
@@ -81,16 +81,6 @@ fn setup_batched() -> (kgq_graph::LabeledGraph, kgq_core::PathExpr) {
     let mut g = gnm_labeled(200, 600, &["a", "b"], &["p", "q"], 7);
     let e = parse_expr("(p+q)*", g.consts_mut()).unwrap();
     (g, e)
-}
-
-/// Current thread count of this process (Linux).
-fn thread_count() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").expect("proc");
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-        .expect("Threads: line")
 }
 
 #[test]
@@ -198,14 +188,17 @@ fn starvation_trips_the_step_budget_and_partials_are_prefixes() {
 fn seeded_fault_campaign_is_deterministic_typed_and_leak_free() {
     let _guard = serial();
     set_threads(1);
-    let baseline = thread_count();
+    // Every thread the engine starts is a rayon shim worker, and the
+    // gauge counts only those: the process thread count would also count
+    // the test harness's threads, including tests queued on `serial()`.
+    let baseline = rayon::live_workers();
     for seed in 0..12 {
         let first = campaign(seed);
         let second = campaign(seed);
         assert_eq!(first, second, "seed {seed} was not reproducible");
     }
     assert_eq!(
-        thread_count(),
+        rayon::live_workers(),
         baseline,
         "faulted scans leaked worker threads"
     );

@@ -4,8 +4,8 @@
 //! labels, property keys and `(key, value)` pairs a query mentions are
 //! checked against a [`SchemaSummary`] harvested from the target graph,
 //! and provably-empty queries are flagged with `Deny` diagnostics so
-//! [`crate::exec::execute_governed`] can short-circuit without compiling a
-//! prefilter. The emitted [`Report`] reuses the core diagnostic and
+//! [`crate::exec::execute_governed`] can short-circuit without searching.
+//! The emitted [`Report`] reuses the core diagnostic and
 //! rendering machinery, so `kgq cypher --explain` prints the same
 //! severity/caret/verdict shape as `kgq query --explain`.
 //!
@@ -260,18 +260,11 @@ pub fn analyze_query(g: &PropertyGraph, query: &Query, source: Option<&str>) -> 
 
     diags.sort_by_key(|d| std::cmp::Reverse(d.severity));
 
-    // Plan: fully labeled chains run through the bit-parallel prefilter
-    // kernel; anything else falls back to plain backtracking.
-    let plan = if !empty && query.patterns.iter().all(|p| p.fully_labeled()) {
-        PlanAdvice::BitParallel
-    } else {
-        PlanAdvice::Sequential
-    };
-
     Report {
         diagnostics: diags,
         language: None,
-        plan,
+        // Every pattern runs on the backtracking matcher.
+        plan: PlanAdvice::Sequential,
         classes: vec![("match", ComplexityClass::NpHard)],
         provably_empty: empty,
     }
@@ -390,7 +383,8 @@ mod tests {
     #[test]
     fn plan_reflects_prefilter_applicability() {
         let (r, _) = report_for("MATCH (p:person)-[:rides]->(b:bus) RETURN p, b");
-        assert_eq!(r.plan, PlanAdvice::BitParallel);
+        assert_eq!(r.plan, PlanAdvice::Sequential);
+        assert!(r.render("…").contains("sequential scan"));
         assert!(r.render("…").contains("NP-hard"));
 
         let (r2, _) = report_for("MATCH (p)-[:rides]->(b:bus) RETURN p, b");

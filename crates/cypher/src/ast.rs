@@ -38,14 +38,6 @@ pub struct PathPattern {
     pub rels: Vec<RelPattern>,
 }
 
-impl PathPattern {
-    /// True when every node and every relationship carries a label, i.e.
-    /// the chain translates into a sound path-expression prefilter.
-    pub fn fully_labeled(&self) -> bool {
-        self.nodes.iter().all(|n| n.label.is_some()) && self.rels.iter().all(|r| r.label.is_some())
-    }
-}
-
 /// Comparison operator in `WHERE`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CmpOp {

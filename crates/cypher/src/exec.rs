@@ -9,17 +9,14 @@
 //! * `WHERE` comparisons against a missing property are not satisfied
 //!   (Cypher's NULL semantics: neither `=` nor `<>` is true).
 //!
-//! Governed execution ([`execute_governed`]) threads a
-//! [`kgq_core::govern::Governor`] through the whole pipeline: prefilter
-//! compilation, the prefilter reachability scan, and every step of the
-//! backtracking search, which stops at a budget boundary and returns the
-//! rows found so far as a typed partial result.
+//! Governed execution ([`execute_governed`]) runs the same search as
+//! [`execute`] under a [`kgq_core::govern::Governor`]: every step of the
+//! backtracking search is charged, and the search stops at a budget
+//! boundary and returns the rows found so far as a typed partial result.
 
-use crate::ast::{CmpOp, Direction, PathPattern, Query, ReturnItem};
+use crate::ast::{CmpOp, Direction, Query, ReturnItem};
 use kgq_core::cache::QueryCache;
-use kgq_core::expr::{PathExpr, Test};
 use kgq_core::govern::{isolate, EvalError, Governed, Governor, Interrupt, Ticker};
-use kgq_core::model::PropertyView;
 use kgq_graph::{EdgeId, NodeId, PropertyGraph};
 use std::collections::HashMap;
 
@@ -39,16 +36,9 @@ struct Ctx<'a> {
     env: HashMap<String, Binding>,
     used_edges: Vec<EdgeId>,
     out: Vec<Row>,
-    /// Per-pattern sorted lists of admissible start nodes (from the
-    /// compiled product's bit-parallel `matching_starts` scan); `None`
-    /// means no prefilter for that pattern. Sorted `Vec` + binary search
-    /// beats a `HashSet` here: the lists are built once, probed many
-    /// times, and stay cache-resident.
-    start_filter: Vec<Option<Vec<NodeId>>>,
-    /// Step accounting for governed execution (a no-op ticker otherwise).
+    /// Step and result accounting for governed execution (a no-op
+    /// ticker otherwise).
     ticker: Ticker<'a>,
-    /// Result accounting for governed execution.
-    gov: Option<&'a Governor>,
 }
 
 /// Executes a parsed query against a property graph.
@@ -57,97 +47,19 @@ struct Ctx<'a> {
 /// Unknown variables in `WHERE`/`RETURN` simply never match / produce
 /// empty strings — mirroring the forgiving behavior of the text format.
 pub fn execute(g: &PropertyGraph, query: &Query) -> Vec<Row> {
-    let filters = vec![None; query.patterns.len()];
-    execute_with_filters(g, query, filters)
+    let rows = search(g, query, None);
+    assert!(!rows.is_partial(), "ungoverned match interrupted");
+    rows.value
 }
 
-/// How a pattern chain translates into a path expression for pruning.
-enum Prefilter {
-    /// Some element is unlabeled — no sound expression, skip pruning.
-    NotApplicable,
-    /// A label string absent from the graph's constant universe: the
-    /// pattern (and hence the query) cannot match at all.
-    Empty,
-    /// The chain as a path expression; its `matching_starts` set
-    /// over-approximates the pattern's start nodes.
-    Expr(PathExpr),
-}
-
-/// Translates a fully labeled pattern chain
-/// `(:l0)-[:e1]->(:l1)…` into `?l0/e1/?l1/…`. Relationship uniqueness
-/// and cross-pattern variable joins make actual Cypher matches a
-/// *subset* of the expression's answers, so pruning start candidates to
-/// `matching_starts` of this expression never loses a solution.
-fn pattern_prefilter(g: &PropertyGraph, pattern: &PathPattern) -> Prefilter {
-    let all_labeled = pattern.nodes.iter().all(|n| n.label.is_some())
-        && pattern.rels.iter().all(|r| r.label.is_some());
-    if !all_labeled {
-        return Prefilter::NotApplicable;
-    }
-    let sym = |label: &Option<String>| label.as_deref().and_then(|l| g.labeled().sym(l));
-    let Some(first) = sym(&pattern.nodes[0].label) else {
-        return Prefilter::Empty;
-    };
-    let mut expr = PathExpr::NodeTest(Test::Label(first));
-    for (rel, node) in pattern.rels.iter().zip(&pattern.nodes[1..]) {
-        let (Some(rl), Some(nl)) = (sym(&rel.label), sym(&node.label)) else {
-            return Prefilter::Empty;
-        };
-        let step = match rel.direction {
-            Direction::Right => PathExpr::Forward(Test::Label(rl)),
-            Direction::Left => PathExpr::Backward(Test::Label(rl)),
-        };
-        expr = PathExpr::Concat(Box::new(expr), Box::new(step));
-        expr = PathExpr::Concat(
-            Box::new(expr),
-            Box::new(PathExpr::NodeTest(Test::Label(nl))),
-        );
-    }
-    Prefilter::Expr(expr)
-}
-
-/// [`execute_governed`] under an unlimited governor: the prefiltered,
-/// cache-backed executor for callers without a budget. Results are
-/// identical to [`execute`].
-pub fn execute_cached(g: &PropertyGraph, query: &Query, cache: &QueryCache) -> Vec<Row> {
-    match execute_governed(g, query, cache, &Governor::unlimited()) {
-        Ok(res) => res.value,
-        Err(e) => panic!("ungoverned Cypher execution failed: {e}"),
-    }
-}
-
-fn execute_with_filters(
-    g: &PropertyGraph,
-    query: &Query,
-    start_filter: Vec<Option<Vec<NodeId>>>,
-) -> Vec<Row> {
-    let mut ctx = Ctx {
-        g,
-        query,
-        env: HashMap::new(),
-        used_edges: Vec::new(),
-        out: Vec::new(),
-        start_filter,
-        ticker: Ticker::none(),
-        gov: None,
-    };
-    match match_pattern(&mut ctx, 0) {
-        Ok(()) => ctx.out,
-        Err(i) => unreachable!("ungoverned match interrupted: {i}"),
-    }
-}
-
-/// Executes a parsed query under `gov`, pruning each fully labeled
-/// pattern chain through `cache`: the chain is compiled to a path
-/// expression (reusing a cached graph × NFA product when the graph
-/// generation matches) and start candidates are restricted to its
-/// `matching_starts` set; chains with unlabeled elements fall back to
-/// plain [`execute`] behavior. Prefilter compilation, the prefilter
-/// scans, and the backtracking search all run under `gov`. Exhaustion
-/// mid-search returns the rows found so far as a
+/// Executes a parsed query under `gov`. The static analyzer runs first:
+/// a provably empty query completes at once, without charging `gov`, and
+/// is noted in `cache`'s short-circuit count. Otherwise the backtracking
+/// search of [`execute`] runs with every step charged to `gov`.
+/// Exhaustion mid-search returns the rows found so far as a
 /// [`kgq_core::govern::Completion::Partial`] result (rows appear in the
 /// same deterministic search order as [`execute`], so the partial value
-/// is a prefix of the full row list); worker panics surface as
+/// is a prefix of the full row list); panics surface as
 /// [`EvalError::Panic`].
 pub fn execute_governed(
     g: &PropertyGraph,
@@ -155,80 +67,33 @@ pub fn execute_governed(
     cache: &QueryCache,
     gov: &Governor,
 ) -> Result<Governed<Vec<Row>>, EvalError> {
-    // Static analysis first: a provably-empty query (unknown label,
-    // contradictory WHERE, …) completes instantly without compiling
-    // anything or charging the governor, and the skipped compilation is
-    // visible in the cache stats.
     let report = crate::analyze::analyze_query(g, query, None);
     if report.is_provably_empty() {
         cache.note_short_circuit();
         return Ok(Governed::complete(Vec::new()));
     }
-    let generation = g.generation();
-    let view = PropertyView::new(g);
-    let mut filters: Vec<Option<Vec<NodeId>>> = Vec::with_capacity(query.patterns.len());
-    for pattern in &query.patterns {
-        match pattern_prefilter(g, pattern) {
-            Prefilter::NotApplicable => filters.push(None),
-            Prefilter::Empty => return Ok(Governed::complete(Vec::new())),
-            Prefilter::Expr(e) => {
-                let compiled = match cache.get_or_compile_governed(&view, generation, &e, gov) {
-                    Ok(c) => c,
-                    Err(EvalError::Interrupted(why)) => {
-                        return Ok(Governed::partial(Vec::new(), why))
-                    }
-                    Err(e) => return Err(e),
-                };
-                // `matching_starts` runs on the 64-source bit-parallel
-                // reachability kernel, so the prefilter costs one sweep
-                // over the product per 64 candidate nodes.
-                // The prefilter is only sound when complete — a partial
-                // start set would prune real solutions. The governor is
-                // sticky, so after a trip the search below stops at its
-                // first tick anyway. Unmetered: prefilter start nodes are
-                // not user-visible rows, so they must not consume the
-                // caller's result budget.
-                let starts = compiled
-                    .evaluator()
-                    .matching_starts_governed_unmetered(gov)?;
-                if starts.is_partial() {
-                    return Ok(Governed::partial(
-                        Vec::new(),
-                        match starts.completion {
-                            kgq_core::govern::Completion::Partial(why) => why,
-                            kgq_core::govern::Completion::Complete => unreachable!(),
-                        },
-                    ));
-                }
-                let mut starts = starts.value;
-                starts.sort_unstable();
-                if starts.is_empty() {
-                    // MATCH patterns are conjunctive: one unmatchable
-                    // chain empties the whole result.
-                    return Ok(Governed::complete(Vec::new()));
-                }
-                filters.push(Some(starts));
-            }
-        }
-    }
     isolate(|| {
         #[cfg(feature = "fault-injection")]
         kgq_core::govern::fault::hit("cypher::match");
-        let mut ctx = Ctx {
-            g,
-            query,
-            env: HashMap::new(),
-            used_edges: Vec::new(),
-            out: Vec::new(),
-            start_filter: filters,
-            ticker: Ticker::new(gov),
-            gov: Some(gov),
-        };
-        Ok(match match_pattern(&mut ctx, 0) {
-            Ok(()) => Governed::complete(ctx.out),
-            Err(why) => Governed::partial(ctx.out, why),
-        })
+        Ok(search(g, query, Some(gov)))
     })
+}
+
+/// The one search body behind [`execute`] and [`execute_governed`]:
+/// with `None` no accounting runs and the result is always complete.
+fn search(g: &PropertyGraph, query: &Query, gov: Option<&Governor>) -> Governed<Vec<Row>> {
+    let mut ctx = Ctx {
+        g,
+        query,
+        env: HashMap::new(),
+        used_edges: Vec::new(),
+        out: Vec::new(),
+        ticker: Ticker::maybe(gov),
+    };
+    match match_pattern(&mut ctx, 0) {
+        Ok(()) => Governed::complete(ctx.out),
+        Err(why) => Governed::partial(ctx.out, why),
+    }
 }
 
 fn node_label_ok(g: &PropertyGraph, n: NodeId, label: &Option<String>) -> bool {
@@ -262,7 +127,7 @@ fn bind_node(ctx: &mut Ctx<'_>, var: &Option<String>, n: NodeId) -> Result<Optio
 fn match_pattern(ctx: &mut Ctx<'_>, pat_idx: usize) -> Result<(), Interrupt> {
     if pat_idx == ctx.query.patterns.len() {
         if where_holds(ctx) {
-            if let Some(gov) = ctx.gov {
+            if let Some(gov) = ctx.ticker.governor() {
                 gov.charge_results(1)?;
             }
             let row = project(ctx);
@@ -276,16 +141,13 @@ fn match_pattern(ctx: &mut Ctx<'_>, pat_idx: usize) -> Result<(), Interrupt> {
     let candidates: Vec<NodeId> = match first.var.as_ref().and_then(|v| ctx.env.get(v)) {
         Some(Binding::Node(n)) => vec![*n],
         Some(Binding::Edge(_)) => return Ok(()),
-        None => {
-            let filter = ctx.start_filter.get(pat_idx).and_then(|f| f.as_ref());
-            ctx.g
-                .labeled()
-                .base()
-                .nodes()
-                .filter(|&n| node_label_ok(ctx.g, n, &first.label))
-                .filter(|n| filter.is_none_or(|f| f.binary_search(n).is_ok()))
-                .collect()
-        }
+        None => ctx
+            .g
+            .labeled()
+            .base()
+            .nodes()
+            .filter(|&n| node_label_ok(ctx.g, n, &first.label))
+            .collect(),
     };
     for n in candidates {
         ctx.ticker.tick()?;
@@ -524,19 +386,12 @@ mod tests {
             "MATCH (:company)-[:owns]->(b) RETURN b",
         ] {
             let q = parse_query(query).unwrap();
-            assert_eq!(execute_cached(&g, &q, &cache), execute(&g, &q), "{query}");
+            let governed = execute_governed(&g, &q, &cache, &Governor::unlimited()).unwrap();
+            assert!(!governed.is_partial(), "{query}");
+            assert_eq!(governed.value, execute(&g, &q), "{query}");
         }
-    }
-
-    #[test]
-    fn cached_execution_reuses_compiled_patterns() {
-        let g = figure2_property();
-        let cache = QueryCache::new();
-        let q = parse_query("MATCH (p:person)-[:rides]->(b:bus) RETURN p, b").unwrap();
-        execute_cached(&g, &q, &cache);
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        execute_cached(&g, &q, &cache);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        // The matcher compiles no path expression.
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
     }
 
     #[test]
@@ -544,23 +399,23 @@ mod tests {
         let g = figure2_property();
         let cache = QueryCache::new();
         let q = parse_query("MATCH (p:ghost)-[:rides]->(b:bus) RETURN p").unwrap();
-        assert!(execute_cached(&g, &q, &cache).is_empty());
-        // Nothing was compiled: the label is not even in the universe.
-        assert_eq!(cache.misses(), 0);
+        let res = execute_governed(&g, &q, &cache, &Governor::unlimited()).unwrap();
+        assert!(res.value.is_empty() && !res.is_partial());
+        // The analyzer answered: the label is not even in the universe.
+        assert_eq!(cache.short_circuits(), 1);
+        assert!(execute(&g, &q).is_empty());
     }
 
     #[test]
     fn mutation_invalidates_cached_patterns() {
         let mut g = figure2_property();
-        let cache = QueryCache::new();
         let q = parse_query("MATCH (p:person)-[:rides]->(b:bus) RETURN p, b").unwrap();
-        let before = execute_cached(&g, &q, &cache);
+        let before = execute(&g, &q);
         let p9 = g.add_node("n9", "person").unwrap();
         let bus = g.labeled().node_named("n3").unwrap();
         g.add_edge("e9", p9, bus, "rides").unwrap();
-        let after = execute_cached(&g, &q, &cache);
-        // The new rider is visible: the stale product was not reused.
+        let after = execute(&g, &q);
+        // The new rider is visible.
         assert_eq!(after.len(), before.len() + 1);
-        assert_eq!(cache.misses(), 2);
     }
 }

@@ -40,5 +40,5 @@ pub mod parser;
 
 pub use analyze::analyze_query;
 pub use ast::{Direction, Query};
-pub use exec::{execute, execute_cached, execute_governed, Row};
+pub use exec::{execute, execute_governed, Row};
 pub use parser::{parse_query, QueryParseError};

@@ -6,7 +6,7 @@
 
 use kgq_core::cache::QueryCache;
 use kgq_core::govern::{fault, EvalError, Governor};
-use kgq_cypher::{execute_cached, execute_governed, parse_query};
+use kgq_cypher::{execute, execute_governed, parse_query};
 use kgq_graph::figures::figure2_property;
 
 #[test]
@@ -14,7 +14,7 @@ fn injected_match_panic_is_typed_and_the_cache_survives() {
     let g = figure2_property();
     let q = parse_query("MATCH (p:person)-[:rides]->(b:bus) RETURN p, b").unwrap();
     let cache = QueryCache::new();
-    let reference = execute_cached(&g, &q, &cache);
+    let reference = execute(&g, &q);
 
     fault::arm("cypher::match", fault::Action::Panic, 0);
     let err = execute_governed(&g, &q, &cache, &Governor::unlimited()).unwrap_err();
@@ -24,7 +24,7 @@ fn injected_match_panic_is_typed_and_the_cache_survives() {
         other => panic!("expected a typed panic, got {other}"),
     }
 
-    // The cache kept its compiled prefilter and the next run is correct.
+    // The next run on the same cache is correct.
     let again = execute_governed(&g, &q, &cache, &Governor::unlimited()).unwrap();
     assert!(!again.is_partial());
     assert_eq!(again.value, reference);

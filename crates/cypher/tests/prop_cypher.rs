@@ -1,9 +1,12 @@
 //! Property-based equivalence tests for the Cypher-style matcher on
 //! arbitrary property graphs.
 
-use kgq_cypher::{execute, parse_query};
+use kgq_core::cache::QueryCache;
+use kgq_core::govern::{Budget, Completion, Governor, Interrupt};
+use kgq_cypher::{execute, execute_governed, parse_query, Query, Row};
 use kgq_graph::{NodeId, PropertyGraph};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 const LABELS: [&str; 2] = ["person", "bus"];
 const EDGE_LABELS: [&str; 2] = ["rides", "contact"];
@@ -89,5 +92,87 @@ proptest! {
         for row in execute(&g, &q) {
             prop_assert_ne!(&row[0], &row[1], "edge reused within one match");
         }
+    }
+
+    /// The partial contract on random graphs, at every step budget
+    /// 1..=200 and every result budget 0..=5 or none.
+    #[test]
+    fn governed_rows_are_prefixes_of_the_full_rows(s in spec()) {
+        let g = build(&s);
+        // Each result budget rides beside a spread of step budgets, and
+        // beside no step budget at all.
+        let results_for = |i: u64| (i % 7 < 6).then_some(i % 7);
+        let runs: Vec<_> = (1..=200u64)
+            .map(|steps| (Some(steps), results_for(steps)))
+            .chain((0..7).map(|i| (None, results_for(i))))
+            .collect();
+        for text in PATTERNS {
+            let q = parse_query(text).unwrap();
+            let full = execute(&g, &q);
+            for &(steps, results) in &runs {
+                check_partial_contract(&g, &q, &full, steps, results)?;
+            }
+        }
+    }
+}
+
+/// One-, two- and three-hop patterns for the partial contract.
+const PATTERNS: [&str; 3] = [
+    "MATCH (a)-[:rides]->(b) RETURN a, b",
+    "MATCH (a:person)-[r]->(b)<-[t]-(c) RETURN a, r, t, c",
+    "MATCH (a)-[r]->(b)-[t]->(c)-[u]->(d) RETURN r, t, u, d",
+];
+
+/// Under a step and a result budget, the rows of `q` are a prefix of its
+/// ungoverned rows `full`, tagged with the budget that tripped, and equal
+/// to them when nothing tripped.
+fn check_partial_contract(
+    g: &PropertyGraph,
+    q: &Query,
+    full: &[Row],
+    steps: Option<u64>,
+    results: Option<u64>,
+) -> Result<Completion, TestCaseError> {
+    let text = format!("{q:?} at steps {steps:?}, results {results:?}");
+    let mut budget = Budget::unlimited();
+    if let Some(n) = steps {
+        budget = budget.with_max_steps(n);
+    }
+    if let Some(n) = results {
+        budget = budget.with_max_results(n);
+    }
+    let res = execute_governed(g, q, &QueryCache::new(), &Governor::new(&budget)).unwrap();
+    let rows = &res.value;
+    prop_assert!(rows.len() <= full.len(), "{}: more rows than execute", text);
+    prop_assert_eq!(&rows[..], &full[..rows.len()], "{}: not a prefix", text);
+    match res.completion {
+        Completion::Complete => prop_assert_eq!(rows.len(), full.len(), "{}", text),
+        Completion::Partial(Interrupt::ResultBudget) => {
+            prop_assert_eq!(Some(rows.len() as u64), results, "{}", text)
+        }
+        Completion::Partial(Interrupt::StepBudget) => prop_assert!(steps.is_some(), "{}", text),
+        Completion::Partial(why) => prop_assert!(false, "{}: unexpected {:?}", text, why),
+    }
+    Ok(res.completion)
+}
+
+/// Steps are charged in batches, so a step budget trips only once a
+/// search has done a batch of work: fourteen self-loops give the
+/// three-hop pattern 14 · 13 · 12 edge-distinct matches, enough to trip.
+#[test]
+fn step_budget_trips_a_long_search_with_a_prefix() {
+    let g = build(&Spec {
+        node_labels: vec![0],
+        edges: vec![(0, 0, 0); 14],
+    });
+    for steps in [1, 50, 200] {
+        let q = parse_query(PATTERNS[2]).unwrap();
+        let full = execute(&g, &q);
+        let why = check_partial_contract(&g, &q, &full, Some(steps), None).unwrap();
+        assert_eq!(
+            why,
+            Completion::Partial(Interrupt::StepBudget),
+            "steps {steps}"
+        );
     }
 }

@@ -136,7 +136,9 @@ fn term_text(st: &TripleStore, t: &TermPattern) -> String {
     }
 }
 
-fn pattern_text(st: &TripleStore, p: &TriplePattern) -> String {
+/// A triple pattern as `(s p o)`, constants spelled out, variables as
+/// `?name`: the text of plan reports and diagnostics.
+pub(crate) fn pattern_text(st: &TripleStore, p: &TriplePattern) -> String {
     format!(
         "({} {} {})",
         term_text(st, &p.s),

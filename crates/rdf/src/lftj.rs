@@ -34,6 +34,7 @@
 //!   [`Governed`] `Partial` cut at the first interrupted part, exactly
 //!   like the kernel scans in `kgq-core`.
 
+use crate::analyze::pattern_text;
 use crate::bgp::{Bgp, Binding, TermPattern, TriplePattern, VarName};
 use crate::sketch::{chain_hash, StoreSketch, XorConstraint, ROOT_HASH};
 use crate::store::{IndexOrder, TripleStore};
@@ -76,22 +77,6 @@ pub struct Plan {
     /// `Some(reason)` when the BGP is provably empty before execution
     /// (a constant prefix matches nothing).
     pub empty: Option<String>,
-}
-
-fn term_text(st: &TripleStore, t: &TermPattern) -> String {
-    match t {
-        TermPattern::Const(s) => st.term_str(*s).to_owned(),
-        TermPattern::Var(v) => format!("?{v}"),
-    }
-}
-
-fn pattern_text(st: &TripleStore, p: &TriplePattern) -> String {
-    format!(
-        "({} {} {})",
-        term_text(st, &p.s),
-        term_text(st, &p.p),
-        term_text(st, &p.o)
-    )
 }
 
 impl Plan {

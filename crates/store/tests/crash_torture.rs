@@ -17,6 +17,21 @@ use kgq_store::wal::{encode_batch, EdgeRec, StoreOp, WAL_MAGIC};
 use kgq_store::DurableStore;
 use std::path::{Path, PathBuf};
 
+/// Guards the process-global fault plan. The truncation sweeps open
+/// stores through the `wal::read` site too, so with fault injection
+/// compiled in they hold it as well: otherwise a sweep running beside a
+/// campaign would fire, or use up, that campaign's one-shot arm.
+#[cfg(feature = "fault-injection")]
+static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Takes [`LOCK`] and clears the plan, so the holder starts disarmed.
+#[cfg(feature = "fault-injection")]
+fn quiet_plan() -> std::sync::MutexGuard<'static, ()> {
+    let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    kgq_core::govern::fault::clear();
+    guard
+}
+
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("kgq-torture-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -100,6 +115,8 @@ fn committed_within(boundaries: &[usize], cut: usize) -> usize {
 
 #[test]
 fn truncation_sweep_every_byte_offset() {
+    #[cfg(feature = "fault-injection")]
+    let _plan = quiet_plan();
     let src = tmp_dir("trunc-src");
     let (states, boundaries) = build_history(&src);
     let wal = std::fs::read(src.join("wal.log")).unwrap();
@@ -128,6 +145,8 @@ fn truncation_sweep_every_byte_offset() {
 
 #[test]
 fn truncation_sweep_with_compacted_base() {
+    #[cfg(feature = "fault-injection")]
+    let _plan = quiet_plan();
     // Same sweep, but batch 1 is already folded into a segment — the
     // cut only tears batches 2..: recovery must keep the base intact.
     let src = tmp_dir("trunc-seg-src");
@@ -165,9 +184,7 @@ mod injected {
     use super::*;
     use kgq_core::govern::fault::{self, Action};
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::{Mutex, MutexGuard, Once};
-
-    static LOCK: Mutex<()> = Mutex::new(());
+    use std::sync::{MutexGuard, Once};
 
     /// Serializes tests on the process-global fault plan and silences
     /// the panic hook for injected crashes (they are the test's point;
@@ -192,9 +209,7 @@ mod injected {
                 }
             }));
         });
-        let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        fault::clear();
-        guard
+        quiet_plan()
     }
 
     /// splitmix64, duplicated here so campaign parameters are derived

@@ -329,7 +329,7 @@ fn explain_prints_verdicts_for_cypher_queries() {
     assert!(empty.contains("short-circuit (empty)"), "{empty}");
     assert!(empty.contains("NP-hard"), "{empty}");
 
-    // 7. Clean pattern: NP-hard verdict, prefilter plan, no diagnostics.
+    // 7. Clean pattern: NP-hard verdict, sequential plan, no diagnostics.
     let clean = stdout(&run(&[
         "cypher",
         p,
@@ -338,7 +338,7 @@ fn explain_prints_verdicts_for_cypher_queries() {
     ]));
     assert!(clean.contains("(none)"), "{clean}");
     assert!(clean.contains("match"), "{clean}");
-    assert!(clean.contains("bit-parallel sweep"), "{clean}");
+    assert!(clean.contains("sequential scan"), "{clean}");
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! In-repo source lints, run as tier-1 tests and in CI.
 //!
-//! Nine invariants over `crates/*/src`, enforced with std-only file
+//! Ten invariants over `crates/*/src`, and one over the committed
+//! benchmark files, enforced with std-only file
 //! walking (no extra dependencies):
 //!
 //! 1. **unwrap/expect ratchet** — non-test library code must not grow
@@ -35,6 +36,11 @@
 //! 9. **one fan-out** — the ordered parallel scans run through
 //!    `kgq_core::parallel::partitioned`; no other file splits its own
 //!    chunks or calls rayon, except the order-free sums exempt by name.
+//! 10. **forbidden calls** — a crate's shipping code makes none of the
+//!     calls listed against it (the Cypher matcher neither compiles nor
+//!     sweeps an RPQ product).
+//! 11. **full-run benchmark files** — every committed `BENCH_*.json`
+//!     says `"quick": false`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -50,7 +56,7 @@ const UNWRAP_BASELINE: &[(&str, usize)] = &[
     ("crates/analytics/src/kcore.rs", 1),
     ("crates/analytics/src/weighted.rs", 1),
     ("crates/bench/src/bin/exp_bcr.rs", 8),
-    ("crates/bench/src/bin/exp_bgp.rs", 2),
+    ("crates/bench/src/bin/exp_bgp.rs", 1),
     ("crates/bench/src/bin/exp_count.rs", 2),
     ("crates/bench/src/bin/exp_embed.rs", 1),
     ("crates/bench/src/bin/exp_enum.rs", 2),
@@ -59,7 +65,7 @@ const UNWRAP_BASELINE: &[(&str, usize)] = &[
     ("crates/bench/src/bin/exp_gen.rs", 3),
     ("crates/bench/src/bin/exp_govern.rs", 11),
     ("crates/bench/src/bin/exp_joins.rs", 4),
-    ("crates/bench/src/bin/exp_kernel.rs", 3),
+    ("crates/bench/src/bin/exp_kernel.rs", 2),
     ("crates/bench/src/bin/exp_logic.rs", 3),
     ("crates/bench/src/bin/exp_parallel.rs", 1),
     ("crates/bench/src/bin/exp_rdf.rs", 2),
@@ -624,11 +630,6 @@ const ANALYZER_COVERAGE: &[(&str, &str, &[&str])] = &[
     ),
     (
         "crates/cypher/src/exec.rs",
-        "execute_cached",
-        &["execute_governed("],
-    ),
-    (
-        "crates/cypher/src/exec.rs",
         "execute_governed",
         &["analyze_query("],
     ),
@@ -800,5 +801,76 @@ fn partitioned_is_the_only_fan_out() {
             problems.push(format!("{file}: no longer calls parallel::partitioned"));
         }
     }
+    assert!(problems.is_empty(), "\n{}", problems.join("\n"));
+}
+
+/// Calls a crate's shipping code may not make: `(source dir, token,
+/// why)`. Cypher `MATCH` is a conjunctive pattern run by its own
+/// backtracking matcher; compiling or sweeping an RPQ product beside it
+/// would be a second engine for the same answer.
+const FORBIDDEN_CALLS: &[(&str, &str, &str)] = &[
+    (
+        "crates/cypher/src",
+        "get_or_compile",
+        "the Cypher matcher compiles no path expression",
+    ),
+    (
+        "crates/cypher/src",
+        "matching_starts",
+        "the Cypher matcher sweeps no RPQ product",
+    ),
+];
+
+#[test]
+fn forbidden_calls_stay_out() {
+    let mut problems = Vec::new();
+    for path in crate_sources() {
+        let file = rel(&path);
+        let src = fs::read_to_string(&path).expect("readable source file");
+        for (dir, token, why) in FORBIDDEN_CALLS {
+            if !file.starts_with(dir) {
+                continue;
+            }
+            for line in non_test_lines(&src) {
+                let code = line.split("//").next().unwrap_or("");
+                if code.contains(token) {
+                    problems.push(format!("{file}: calls `{token}`; {why}: {}", line.trim()));
+                }
+            }
+        }
+    }
+    assert!(problems.is_empty(), "\n{}", problems.join("\n"));
+}
+
+/// Every committed `BENCH_*.json` at the repository root is a full run:
+/// a `--quick` run trims sizes and repetitions, so its numbers back no
+/// claim.
+#[test]
+fn committed_bench_files_are_full_runs() {
+    let mut problems = Vec::new();
+    let mut files = 0usize;
+    for entry in fs::read_dir(repo_root()).expect("repository root") {
+        let path = entry.expect("directory entry").path();
+        let name = path.file_name().map(|n| n.to_string_lossy().into_owned());
+        let Some(name) = name.filter(|n| n.starts_with("BENCH_") && n.ends_with(".json")) else {
+            continue;
+        };
+        files += 1;
+        let text = fs::read_to_string(&path).expect("readable benchmark file");
+        let quick: Vec<&str> = text
+            .lines()
+            .filter(|l| l.trim_start().starts_with("\"quick\":"))
+            .collect();
+        if quick.len() != 1 || quick[0].trim().trim_end_matches(',') != "\"quick\": false" {
+            problems.push(format!(
+                "{name}: expected one `\"quick\": false` line, found {quick:?}; \
+                 regenerate it with a full run"
+            ));
+        }
+    }
+    assert!(
+        files >= 4,
+        "only {files} BENCH_*.json files at the repository root"
+    );
     assert!(problems.is_empty(), "\n{}", problems.join("\n"));
 }
