@@ -14,15 +14,18 @@
 //!    [`DurableStore::open`] (scan + CRC check + replay) at increasing
 //!    committed WAL sizes, and the same store reopened after
 //!    compaction (segment load, near-empty WAL).
-//! 4. **overlay read overhead** — full scans and pattern counts through
-//!    the delta overlay (base segment + added + tombstoned) versus the
-//!    same state materialized into a plain [`TripleStore`], reported as
-//!    a ratio.
-//! 5. **boot scaling** — `open` (segment load + replay of an overlay a
-//!    fifth the base's size), `materialize` and `compact` at three
-//!    store sizes 4× apart, loaded in random order. Each is one bulk
-//!    sorted-run merge, so 16× the data must cost well under 64× the
-//!    time (a per-triple rebuild costs 256×); the run fails otherwise.
+//! 4. **read overhead** — full sorted scans and pattern counts through
+//!    [`DurableStore::scan_all`] / [`DurableStore::count`], with a tenth
+//!    of the triples inserted and a tenth deleted since the last
+//!    compaction, versus the same reads on a plain
+//!    [`kgq_rdf::TripleStore`] holding the same state, reported as a
+//!    ratio. The durable store keeps one live `TripleStore`, so both
+//!    ratios should sit near 1.
+//! 5. **boot scaling** — `open` (segment load + replay of a log a fifth
+//!    the base's size) and `compact` at three store sizes 4× apart,
+//!    loaded in random order. Each is one bulk sorted-run merge, so 16×
+//!    the data must cost well under 64× the time (a per-triple rebuild
+//!    costs 256×); the run fails otherwise.
 //! 6. **CRC-32 rate** — MB/s of [`kgq_store::crc32`] over a 32 MiB
 //!    buffer against a byte-at-a-time reference loop in this binary,
 //!    best of five each. Every WAL record and every segment chunk a
@@ -39,8 +42,8 @@
 //!    the run fails above 1.10×.
 //!
 //! Correctness is asserted before anything is timed: every recovery
-//! must reproduce the exact committed triple set, and the overlay scan
-//! must agree with its materialization byte-for-byte. `--quick` trims
+//! must reproduce the exact committed triple set, and the durable reads
+//! must agree with the plain store's byte-for-byte. `--quick` trims
 //! sizes for CI; `--out FILE` overrides the report path.
 
 use kgq_bench::{fmt_duration, mean, percentile, print_table, timed, write_report};
@@ -94,9 +97,9 @@ fn open(dir: &Path) -> DurableStore {
     orfail(DurableStore::open(dir), "open store").0
 }
 
-/// One boot-scaling point: `[open, materialize, compact]` wall times
-/// in ms for a store of `n` base triples under an `n / 5`-op overlay.
-fn boot_point(n: u64) -> [f64; 3] {
+/// One boot-scaling point: `[open, compact]` wall times in ms for a
+/// store of `n` base triples and an `n / 5`-op log on top.
+fn boot_point(n: u64) -> [f64; 2] {
     let dir = fresh_dir(&format!("boot-{n}"));
     let mut store = open(&dir);
     // A multiplicative walk visits 0..n in a scattered order (n is a
@@ -113,20 +116,18 @@ fn boot_point(n: u64) -> [f64; 3] {
         let (s, p, o) = triple(i * 7 % n);
         store.stage_delete(&s, &p, &o);
     }
-    orfail(store.commit(), "commit boot overlay");
+    orfail(store.commit(), "commit boot log");
     let expected = store.scan_all();
     assert_eq!(expected.len() as u64, n, "boot store has the wrong size");
     drop(store);
 
-    // Median of three for the two read-only steps; compaction folds the
-    // overlay exactly once, so it is timed once.
-    let (mut opens, mut folds) = (Vec::new(), Vec::new());
+    // Median of three opens; compaction empties the log, so it is
+    // timed once.
+    let mut opens = Vec::new();
     let mut store = loop {
         let (opened, d) = timed(|| open(&dir));
         opens.push(d.as_secs_f64() * 1e3);
-        let (merged, d) = timed(|| opened.materialize());
-        folds.push(d.as_secs_f64() * 1e3);
-        assert_eq!(merged.len() as u64, n, "materialized view diverged");
+        assert_eq!(opened.len() as u64, n, "recovered view diverged");
         if opens.len() == 3 {
             break opened;
         }
@@ -140,11 +141,7 @@ fn boot_point(n: u64) -> [f64; 3] {
         "compaction changed the view"
     );
     let _ = std::fs::remove_dir_all(&dir);
-    [
-        percentile(&opens, 50.0),
-        percentile(&folds, 50.0),
-        d.as_secs_f64() * 1e3,
-    ]
+    [percentile(&opens, 50.0), d.as_secs_f64() * 1e3]
 }
 
 /// The byte-at-a-time CRC-32 loop the sliced [`kgq_store::crc32`] is
@@ -216,7 +213,7 @@ fn pairs_sweep(view: PackedView<'_>) -> Vec<(u32, u32)> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    // (batches, ops per batch, single-op commits, overlay base size)
+    // (batches, ops per batch, single-op commits, read-overhead base size)
     let (batches, batch_ops, singles, base_n) = if quick {
         (60, 50, 60, 20_000)
     } else {
@@ -308,10 +305,10 @@ fn main() {
     assert_eq!(compacted.scan_all(), expected, "compacted state diverged");
     drop(compacted);
 
-    // -- 4. overlay read overhead ----------------------------------------
+    // -- 4. read overhead ----------------------------------------------
     // A compacted base of `base_n` triples, then 10% inserts and 10%
-    // deletes living in the overlay — the steady state between flushes.
-    let dir2 = fresh_dir("overlay");
+    // deletes committed to the log — the steady state between flushes.
+    let dir2 = fresh_dir("reads");
     let mut store = open(&dir2);
     for i in 0..base_n as u64 {
         let (s, p, o) = triple(i);
@@ -326,9 +323,9 @@ fn main() {
         let (s, p, o) = triple(i * 7 % base_n as u64);
         store.stage_delete(&s, &p, &o);
     }
-    orfail(store.commit(), "commit overlay");
-    let plain = store.materialize();
-    let (via_overlay, scan_overlay) = timed(|| store.scan_all());
+    orfail(store.commit(), "commit log");
+    let plain = store.store().clone();
+    let (via_store, scan_store) = timed(|| store.scan_all());
     let (via_plain, scan_plain) = timed(|| {
         let mut v: Vec<(String, String, String)> = plain
             .iter()
@@ -344,8 +341,8 @@ fn main() {
         v
     });
     assert_eq!(
-        via_overlay, via_plain,
-        "overlay scan diverged from materialization"
+        via_store, via_plain,
+        "durable scan diverged from the plain store"
     );
     let probes: Vec<(String, Option<String>)> = (0..1_000u64)
         .map(|i| {
@@ -353,7 +350,7 @@ fn main() {
             (s, if i % 2 == 0 { Some(p) } else { None })
         })
         .collect();
-    let (n_overlay, count_overlay) = timed(|| {
+    let (n_store, count_store) = timed(|| {
         probes
             .iter()
             .map(|(s, p)| store.count(Some(s.as_str()), p.as_deref(), None))
@@ -373,11 +370,11 @@ fn main() {
             .sum::<usize>()
     });
     assert_eq!(
-        n_overlay, n_plain,
-        "overlay counts diverged from materialization"
+        n_store, n_plain,
+        "durable counts diverged from the plain store"
     );
-    let scan_ratio = scan_overlay.as_secs_f64() / scan_plain.as_secs_f64().max(1e-9);
-    let count_ratio = count_overlay.as_secs_f64() / count_plain.as_secs_f64().max(1e-9);
+    let scan_ratio = scan_store.as_secs_f64() / scan_plain.as_secs_f64().max(1e-9);
+    let count_ratio = count_store.as_secs_f64() / count_plain.as_secs_f64().max(1e-9);
 
     // -- 5. boot scaling ---------------------------------------------------
     let boot_sizes: [u64; 3] = if quick {
@@ -385,8 +382,8 @@ fn main() {
     } else {
         [25_000, 100_000, 400_000]
     };
-    let boot: Vec<[f64; 3]> = boot_sizes.iter().map(|&n| boot_point(n)).collect();
-    let boot_total = |p: &[f64; 3]| p.iter().sum::<f64>();
+    let boot: Vec<[f64; 2]> = boot_sizes.iter().map(|&n| boot_point(n)).collect();
+    let boot_total = |p: &[f64; 2]| p.iter().sum::<f64>();
     let boot_time_ratio = boot_total(&boot[2]) / boot_total(&boot[0]).max(1e-9);
 
     // -- 6. CRC-32 rate ------------------------------------------------------
@@ -481,18 +478,18 @@ fn main() {
         &recovery_rows,
     );
     print_table(
-        "overlay read overhead (vs materialized store)",
-        &["operation", "overlay", "plain", "ratio"],
+        "read overhead (vs a plain TripleStore)",
+        &["operation", "durable", "plain", "ratio"],
         &[
             vec![
                 "full sorted scan".into(),
-                fmt_duration(scan_overlay),
+                fmt_duration(scan_store),
                 fmt_duration(scan_plain),
                 format!("{scan_ratio:.2}x"),
             ],
             vec![
                 "1000 pattern counts".into(),
-                fmt_duration(count_overlay),
+                fmt_duration(count_store),
                 fmt_duration(count_plain),
                 format!("{count_ratio:.2}x"),
             ],
@@ -500,8 +497,8 @@ fn main() {
     );
 
     print_table(
-        "boot scaling (open + materialize + compact, one bulk merge each)",
-        &["triples", "open", "materialize", "compact", "total"],
+        "boot scaling (open + compact, one bulk merge each)",
+        &["triples", "open", "compact", "total"],
         &boot_sizes
             .iter()
             .zip(&boot)
@@ -510,7 +507,6 @@ fn main() {
                     n.to_string(),
                     format!("{:.1}ms", p[0]),
                     format!("{:.1}ms", p[1]),
-                    format!("{:.1}ms", p[2]),
                     format!("{:.1}ms", boot_total(p)),
                 ]
             })
@@ -548,18 +544,17 @@ fn main() {
         "  \"segment_reopen_ms\": {:.3},",
         seg_open.as_secs_f64() * 1e3
     );
-    let _ = writeln!(json, "  \"overlay_base_triples\": {base_n},");
-    let _ = writeln!(json, "  \"overlay_scan_ratio\": {scan_ratio:.3},");
-    let _ = writeln!(json, "  \"overlay_count_ratio\": {count_ratio:.3},");
+    let _ = writeln!(json, "  \"read_base_triples\": {base_n},");
+    let _ = writeln!(json, "  \"read_scan_ratio\": {scan_ratio:.3},");
+    let _ = writeln!(json, "  \"read_count_ratio\": {count_ratio:.3},");
     let _ = writeln!(json, "  \"boot_scaling\": [");
     for (i, (n, p)) in boot_sizes.iter().zip(&boot).enumerate() {
         let _ = writeln!(
             json,
-            "    {{ \"triples\": {n}, \"open_ms\": {:.3}, \"materialize_ms\": {:.3}, \
-             \"compact_ms\": {:.3}, \"total_ms\": {:.3} }}{}",
+            "    {{ \"triples\": {n}, \"open_ms\": {:.3}, \"compact_ms\": {:.3}, \
+             \"total_ms\": {:.3} }}{}",
             p[0],
             p[1],
-            p[2],
             boot_total(p),
             if i + 1 < boot.len() { "," } else { "" }
         );

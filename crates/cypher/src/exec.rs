@@ -90,7 +90,10 @@ fn search(g: &PropertyGraph, query: &Query, gov: Option<&Governor>) -> Governed<
         out: Vec::new(),
         ticker: Ticker::maybe(gov),
     };
-    match match_pattern(&mut ctx, 0) {
+    // The ticker consults the governor once per batch; the closing
+    // flush charges the rest, so a search shorter than one batch still
+    // answers to a step budget.
+    match match_pattern(&mut ctx, 0).and_then(|()| ctx.ticker.flush()) {
         Ok(()) => Governed::complete(ctx.out),
         Err(why) => Governed::partial(ctx.out, why),
     }

@@ -21,7 +21,7 @@ use crate::stats::ServerStats;
 use kgq_core::{parse_expr, Budget, CancelToken, Governor, QueryCache};
 use kgq_graph::{PropertyGraph, SchemaSummary};
 use kgq_rdf::{StoreSketch, TripleStore};
-use kgq_store::{DurableStore, EdgeRec};
+use kgq_store::{DurableLog, DurableStore, EdgeRec, StoreOp};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// The state one server instance shares across all connections.
@@ -40,11 +40,13 @@ pub struct Snapshot {
     /// held (same rank: store before sketches is the store rank).
     sketches: Mutex<Option<(u64, Arc<StoreSketch>)>>,
     cache: QueryCache,
-    /// The durable write path, when the server was started with a store
-    /// directory. Mutations are WAL-committed (fsynced) here *before*
-    /// they are applied to the live graph/store or acknowledged; the
-    /// mutex also serializes mutation batches into a total order.
-    durable: Option<Mutex<DurableStore>>,
+    /// The durable store's log half, when the server was started with a
+    /// store directory; its triples are `store` itself. Mutations are
+    /// WAL-committed (fsynced) here *before* they are applied to the
+    /// live graph/store or acknowledged, so the fsync never holds the
+    /// store lock; the mutex also serializes mutation batches into a
+    /// total order.
+    durable: Option<Mutex<DurableLog>>,
     /// Server-side caps; intersected with each request's own.
     caps: Budget,
     /// Aggregate counters.
@@ -95,13 +97,16 @@ impl Snapshot {
         }
     }
 
-    /// Attaches a durable store: every `INSERT`/`DELETE` batch is
-    /// WAL-committed to it before being applied, and `FLUSH` compacts
-    /// it. The caller is responsible for having already loaded the
-    /// store's recovered state into `graph`/`store` (see
-    /// [`apply_edges`] and `DurableStore::materialize`).
+    /// Attaches a durable store: its committed triples become the
+    /// served store (replacing the one given to [`Snapshot::new`]),
+    /// every `INSERT`/`DELETE` batch is WAL-committed to its log before
+    /// being applied, and `FLUSH` compacts the served store. The caller
+    /// loads the store's edge records into `graph` (see
+    /// [`apply_edges`]).
     pub fn with_durable(mut self, durable: DurableStore) -> Snapshot {
-        self.durable = Some(Mutex::new(durable));
+        let (log, store) = durable.into_parts();
+        self.store = RwLock::new(store);
+        self.durable = Some(Mutex::new(log));
         self
     }
 
@@ -119,15 +124,13 @@ impl Snapshot {
     }
 
     /// One-line durability summary for `STATS`: the live generation
-    /// plus, when a durable store is attached, its committed generation,
-    /// WAL size and overlay shape.
+    /// plus, when a durable store is attached, its committed generation
+    /// and WAL size.
     pub fn durability_stats(&self) -> String {
         let mut out = format!("generation {}\n", self.generation());
-        if let Some(durable) = &self.durable {
-            let d = durable.lock().unwrap_or_else(|e| e.into_inner());
-            let (added, tombstoned) = d.overlay_sizes();
+        if let Some(d) = self.durable_lock() {
             out.push_str(&format!(
-                "store_generation {}\nwal_bytes {}\noverlay_added {added}\noverlay_tombstoned {tombstoned}\n",
+                "store_generation {}\nwal_bytes {}\n",
                 d.generation(),
                 d.wal_len(),
             ));
@@ -296,42 +299,41 @@ impl Snapshot {
         if triples.is_empty() && edge_specs.is_empty() {
             return Err("INSERT payload holds no mutations".into());
         }
+        let mut ops: Vec<StoreOp> = triples
+            .into_iter()
+            .map(|(s, p, o)| StoreOp::Insert { s, p, o })
+            .collect();
         // Serialize mutations and make the batch durable first: if the
         // WAL commit fails, nothing is applied and nothing acknowledged.
         let mut durable = self.durable_lock();
-        let mut edges: Vec<EdgeRec> = Vec::new();
-        {
-            // Unique, stable edge ids: continue the committed sequence.
-            let next_seq = match durable.as_deref() {
-                Some(d) => d.edge_count(),
-                None => self.graph_read().edge_count(),
-            };
-            for (i, (src, label, dst, src_label, dst_label)) in edge_specs.into_iter().enumerate() {
-                edges.push(EdgeRec {
-                    id: format!("srv-e{}", next_seq + i),
-                    src,
-                    src_label,
-                    label,
-                    dst,
-                    dst_label,
-                });
-            }
+        // Unique, stable edge ids: continue the committed sequence.
+        let next_seq = match durable.as_deref() {
+            Some(d) => d.edge_count(),
+            None => self.graph_read().edge_count(),
+        };
+        for (i, (src, label, dst, src_label, dst_label)) in edge_specs.into_iter().enumerate() {
+            ops.push(StoreOp::EdgeAdd(EdgeRec {
+                id: format!("srv-e{}", next_seq + i),
+                src,
+                src_label,
+                label,
+                dst,
+                dst_label,
+            }));
         }
         if let Some(d) = durable.as_deref_mut() {
-            for (s, p, o) in &triples {
-                d.stage_insert(s, p, o);
-            }
-            for e in &edges {
-                d.stage_edge(e.clone());
-            }
-            d.commit()
+            d.commit(&ops)
                 .map_err(|e| format!("durable commit failed: {e}"))?;
         }
         // Apply to the live snapshot and bump the shared generation.
         let mut g = self.graph_write();
-        let applied_edges = apply_edges(&mut g, edges.iter());
+        let edges = ops.iter().filter_map(|op| match op {
+            StoreOp::EdgeAdd(e) => Some(e),
+            _ => None,
+        });
+        let applied_edges = apply_edges(&mut g, edges);
         let mut st = self.store_write();
-        let applied_triples = st.extend_strs(&triples);
+        let (applied_triples, _) = kgq_store::apply(&mut st, &ops);
         g.touch();
         let body = format!(
             "inserted {applied_triples} triple(s), {applied_edges} edge(s)\ngeneration {}\n",
@@ -349,22 +351,18 @@ impl Snapshot {
         if triples.is_empty() {
             return Err("DELETE payload holds no triples".into());
         }
+        let ops: Vec<StoreOp> = triples
+            .into_iter()
+            .map(|(s, p, o)| StoreOp::Delete { s, p, o })
+            .collect();
         let mut durable = self.durable_lock();
         if let Some(d) = durable.as_deref_mut() {
-            for (s, p, o) in &triples {
-                d.stage_delete(s, p, o);
-            }
-            d.commit()
+            d.commit(&ops)
                 .map_err(|e| format!("durable commit failed: {e}"))?;
         }
         let mut g = self.graph_write();
         let mut st = self.store_write();
-        // A term the store never interned names no triple.
-        let doomed: Vec<kgq_rdf::Triple> = triples
-            .iter()
-            .filter_map(|(s, p, o)| st.get_triple(s, p, o))
-            .collect();
-        let removed = st.remove_all(doomed);
+        let (_, removed) = kgq_store::apply(&mut st, &ops);
         g.touch();
         let body = format!(
             "deleted {removed} triple(s)\ngeneration {}\n",
@@ -415,9 +413,11 @@ impl Snapshot {
         Ok(self.tally(answer))
     }
 
-    /// `FLUSH`: compacts the durable store (fold the overlay into a
-    /// fresh segment, truncate the WAL). A server without a durable
-    /// store reports that there is nothing to flush.
+    /// `FLUSH`: compacts the durable store (encode the served store into
+    /// a fresh segment, truncate the WAL). The durable mutex keeps
+    /// commits out, and the store read lock lets queries run on. A
+    /// server without a durable store reports that there is nothing to
+    /// flush.
     fn run_flush(&self) -> Result<Outcome, String> {
         let mut durable = self.durable_lock();
         let Some(d) = durable.as_deref_mut() else {
@@ -427,7 +427,8 @@ impl Snapshot {
             ));
         };
         let before = d.wal_len();
-        d.compact().map_err(|e| format!("compaction failed: {e}"))?;
+        d.compact(&self.store_read())
+            .map_err(|e| format!("compaction failed: {e}"))?;
         let body = format!(
             "compacted at generation {}; wal {} -> {} bytes\n",
             d.generation(),
@@ -437,7 +438,7 @@ impl Snapshot {
         Ok(Outcome::ok(body, false))
     }
 
-    fn durable_lock(&self) -> Option<std::sync::MutexGuard<'_, DurableStore>> {
+    fn durable_lock(&self) -> Option<std::sync::MutexGuard<'_, DurableLog>> {
         self.durable
             .as_ref()
             .map(|m| m.lock().unwrap_or_else(|e| e.into_inner()))

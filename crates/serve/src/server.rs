@@ -125,9 +125,11 @@ pub fn serve(
 
 /// [`serve`], with a durable store attached: `INSERT`/`DELETE` batches
 /// are WAL-committed (fsynced) before they are applied or acknowledged,
-/// and `FLUSH` compacts the store. The caller should already have
-/// folded the store's recovered state into `graph`/`store` (the CLI
-/// does this via `DurableStore::materialize` + [`crate::apply_edges`]).
+/// and `FLUSH` compacts the store. With `durable` the server serves the
+/// durable store's own triples and `store` is dropped (see
+/// [`Snapshot::with_durable`]); the caller should already have loaded
+/// its edge records into `graph` (the CLI does this with
+/// [`crate::apply_edges`]).
 pub fn serve_with_store(
     graph: PropertyGraph,
     store: TripleStore,

@@ -5,12 +5,15 @@
 //! * `base.seg` — the immutable compacted segment (absent = empty base);
 //! * `wal.log` — the write-ahead log of batches committed since.
 //!
-//! In memory it is the base [`TripleStore`] plus a [`DeltaOverlay`] and
-//! the committed-but-uncompacted edge records. The lifecycle is
-//! stage → [`commit`](DurableStore::commit) (WAL append + fsync, *then*
-//! apply to the overlay, *then* advance the generation) →
-//! [`compact`](DurableStore::compact) (fold overlay into a fresh
-//! segment written atomically, truncate the log).
+//! In memory it is one live [`TripleStore`] holding the committed view,
+//! beside its [`DurableLog`]: the WAL, the generation and the committed
+//! edge records. The lifecycle is stage →
+//! [`commit`](DurableStore::commit) (WAL append + fsync, *then*
+//! [`apply`] the batch to the store, *then* advance the generation) →
+//! [`compact`](DurableStore::compact) (encode the live store into a
+//! fresh segment written atomically, truncate the log). A server splits
+//! the two halves with [`into_parts`](DurableStore::into_parts): it
+//! keeps the log under its own mutex and serves the store.
 //!
 //! ## Recovery invariant
 //!
@@ -24,37 +27,167 @@
 //!   stamp does not exceed the segment's, which is precisely the set
 //!   compaction already folded in.
 
-use crate::overlay::{DeltaOverlay, StrTriple};
 use crate::segment::{self, Segment};
 use crate::wal::{EdgeRec, Replay, StoreOp, TailState, Wal};
-use kgq_rdf::TripleStore;
-use std::collections::BTreeSet;
+use kgq_rdf::{Triple, TripleStore};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
 const SEGMENT_FILE: &str = "base.seg";
 const WAL_FILE: &str = "wal.log";
 
-/// A durable triple + edge store rooted at a directory.
-pub struct DurableStore {
+/// A triple as term strings.
+pub type StrTriple = (String, String, String);
+
+/// Applies committed ops to `store` and returns `(inserted, deleted)`:
+/// how many triples became present and how many were removed. The last
+/// op on a triple wins, exactly as if the ops ran one at a time, so one
+/// call takes a single batch or every batch a WAL replays: the ops fold
+/// into one net insert set and one net delete set, and each set is
+/// applied with one bulk [`TripleStore::remove_all`] /
+/// [`TripleStore::extend_strs`] (both already treat a repeated triple
+/// as one). Inserted terms are interned in the order they first appear.
+/// Edge records are the log's business and are skipped here.
+pub fn apply<'a>(
+    store: &mut TripleStore,
+    ops: impl IntoIterator<Item = &'a StoreOp>,
+) -> (usize, usize) {
+    let mut named: Vec<((&str, &str, &str), bool)> = ops
+        .into_iter()
+        .filter_map(|op| match op {
+            StoreOp::Insert { s, p, o } => Some(((s.as_str(), p.as_str(), o.as_str()), true)),
+            StoreOp::Delete { s, p, o } => Some(((s.as_str(), p.as_str(), o.as_str()), false)),
+            StoreOp::EdgeAdd(_) => None,
+        })
+        .collect();
+    if named.windows(2).any(|w| w[0].1 != w[1].1) {
+        // Inserts and deletes mixed: keep each triple once, at its first
+        // position, with its last op.
+        let last: HashMap<_, _> = named.iter().copied().collect();
+        let mut seen = HashSet::new();
+        named.retain(|(key, _)| seen.insert(*key));
+        for (key, insert) in &mut named {
+            *insert = last[key];
+        }
+    }
+    let (inserts, deletes): (Vec<_>, Vec<_>) = named.into_iter().partition(|(_, insert)| *insert);
+    // A term the store never interned names no triple.
+    let doomed: Vec<Triple> = deletes
+        .iter()
+        .filter_map(|((s, p, o), _)| store.get_triple(s, p, o))
+        .collect();
+    let deleted = store.remove_all(doomed);
+    let inserts: Vec<(&str, &str, &str)> = inserts.into_iter().map(|(key, _)| key).collect();
+    (store.extend_strs(&inserts), deleted)
+}
+
+/// The log half of a durable store: its directory, WAL, generation and
+/// committed edge records — everything but the triples, which live in
+/// the caller's [`TripleStore`].
+pub struct DurableLog {
     dir: PathBuf,
     wal: Wal,
-    base: TripleStore,
-    base_edges: Vec<EdgeRec>,
-    overlay: DeltaOverlay,
     edges: Vec<EdgeRec>,
     edge_ids: BTreeSet<String>,
-    pending: Vec<StoreOp>,
     generation: u64,
+}
+
+impl DurableLog {
+    /// Makes `ops` durable: appends them to the WAL with the next
+    /// generation stamp and fsyncs, and only then records their edges
+    /// and advances the generation. The caller applies the triples
+    /// (see [`apply`]) once this returns `Ok`. On error nothing was
+    /// committed and the log is unchanged. Returns the new generation;
+    /// an empty batch commits nothing and returns the current one.
+    pub fn commit(&mut self, ops: &[StoreOp]) -> std::io::Result<u64> {
+        if ops.is_empty() {
+            return Ok(self.generation);
+        }
+        let next = self.generation + 1;
+        self.wal.append_batch(ops, next)?;
+        self.record(ops, next);
+        Ok(next)
+    }
+
+    /// Records a committed batch's edges (an id seen before is skipped)
+    /// and takes its generation.
+    fn record(&mut self, ops: &[StoreOp], generation: u64) {
+        for op in ops {
+            if let StoreOp::EdgeAdd(e) = op {
+                if self.edge_ids.insert(e.id.clone()) {
+                    self.edges.push(e.clone());
+                }
+            }
+        }
+        self.generation = generation;
+    }
+
+    /// Compacts: encodes `store` (the committed view this log's batches
+    /// built) and the edge records into a fresh segment written
+    /// atomically, then truncates the WAL. A crash anywhere in between
+    /// recovers to the same committed state (see the module docs). A
+    /// state too large for the segment's `u32` lengths is
+    /// `InvalidInput`, with nothing written and the log unchanged.
+    pub fn compact(&mut self, store: &TripleStore) -> std::io::Result<()> {
+        // Derived data: a packed image reflects an older base, so
+        // compaction drops it; the scale pipeline regenerates it.
+        let image = segment::encode_parts(
+            self.generation,
+            store.iter().map(|t| {
+                (
+                    store.term_str(t.s),
+                    store.term_str(t.p),
+                    store.term_str(t.o),
+                )
+            }),
+            &self.edges,
+            None,
+        )?;
+        segment::write_image_atomic(&self.dir.join(SEGMENT_FILE), &image)?;
+        // The segment is durable; the log's batches are now redundant.
+        self.wal.reset()
+    }
+
+    /// Generation of the last committed batch (0 for a fresh store).
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// The store's directory.
+    pub fn dir(&self) -> &Path {
+        &self.dir
+    }
+
+    /// Bytes of committed WAL (including the header).
+    pub fn wal_len(&self) -> u64 {
+        self.wal.committed_len()
+    }
+
+    /// All committed edge records, in commit order.
+    pub fn all_edges(&self) -> impl Iterator<Item = &EdgeRec> {
+        self.edges.iter()
+    }
+
+    /// Number of committed edge records.
+    pub fn edge_count(&self) -> usize {
+        self.edges.len()
+    }
+}
+
+/// A durable triple + edge store rooted at a directory.
+pub struct DurableStore {
+    log: DurableLog,
+    store: TripleStore,
+    pending: Vec<StoreOp>,
 }
 
 impl std::fmt::Debug for DurableStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DurableStore")
-            .field("dir", &self.dir)
-            .field("generation", &self.generation)
-            .field("base_len", &self.base.len())
-            .field("overlay_added", &self.overlay.added_len())
-            .field("overlay_tombstoned", &self.overlay.tombstoned_len())
+            .field("dir", &self.log.dir)
+            .field("generation", &self.log.generation)
+            .field("triples", &self.store.len())
+            .field("edges", &self.log.edges.len())
             .field("pending", &self.pending.len())
             .finish()
     }
@@ -78,43 +211,33 @@ impl DurableStore {
         let (wal, replay) = Wal::open(&dir.join(WAL_FILE), seg.generation)?;
         // Terms are interned in file order; the six orderings are then
         // built by one bulk sort apiece, not a splice per triple.
-        let mut base = TripleStore::new();
-        base.extend_strs(&seg.triples);
-        let mut store = DurableStore {
+        let mut store = TripleStore::new();
+        store.extend_strs(&seg.triples);
+        let mut log = DurableLog {
             dir: dir.to_path_buf(),
             wal,
-            base,
-            base_edges: Vec::new(),
-            overlay: DeltaOverlay::new(),
-            edges: Vec::new(),
             edge_ids: seg.edges.iter().map(|e| e.id.clone()).collect(),
-            pending: Vec::new(),
+            edges: seg.edges,
             generation: seg.generation,
         };
-        store.base_edges = seg.edges;
         for (generation, ops) in &replay.batches {
-            for op in ops {
-                store.apply(op);
-            }
-            store.generation = *generation;
+            log.record(ops, *generation);
         }
+        // All replayed batches fold into one bulk apply.
+        apply(&mut store, replay.batches.iter().flat_map(|(_, ops)| ops));
+        let store = DurableStore {
+            log,
+            store,
+            pending: Vec::new(),
+        };
         Ok((store, replay))
     }
 
-    fn apply(&mut self, op: &StoreOp) {
-        match op {
-            StoreOp::Insert { s, p, o } => {
-                self.overlay.insert(&self.base, s, p, o);
-            }
-            StoreOp::Delete { s, p, o } => {
-                self.overlay.delete(&self.base, s, p, o);
-            }
-            StoreOp::EdgeAdd(e) => {
-                if self.edge_ids.insert(e.id.clone()) {
-                    self.edges.push(e.clone());
-                }
-            }
-        }
+    /// Splits the store into its log half and its live triples, so a
+    /// server can hold the log under its own lock and serve the store.
+    /// Staged, uncommitted ops are discarded.
+    pub fn into_parts(self) -> (DurableLog, TripleStore) {
+        (self.log, self.store)
     }
 
     /// Stages a triple insert into the pending batch (not yet durable).
@@ -145,98 +268,75 @@ impl DurableStore {
         self.pending.len()
     }
 
-    /// Commits the pending batch: appends it to the WAL with the next
-    /// generation stamp, fsyncs, and only then applies it to the
-    /// overlay and advances the generation. On error the batch is
-    /// discarded (it was never acknowledged) and the in-memory state is
+    /// Commits the pending batch through [`DurableLog::commit`] and
+    /// then applies it to the store. On error the batch is discarded
+    /// (it was never acknowledged) and the in-memory state is
     /// unchanged. Returns the new generation; an empty batch commits
     /// nothing and returns the current one.
     pub fn commit(&mut self) -> std::io::Result<u64> {
-        if self.pending.is_empty() {
-            return Ok(self.generation);
-        }
-        let next = self.generation + 1;
         let ops = std::mem::take(&mut self.pending);
-        self.wal.append_batch(&ops, next)?;
-        for op in &ops {
-            self.apply(op);
-        }
-        self.generation = next;
-        Ok(next)
+        let generation = self.log.commit(&ops)?;
+        apply(&mut self.store, &ops);
+        Ok(generation)
     }
 
     /// Generation of the last committed batch (0 for a fresh store).
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.log.generation()
     }
 
     /// The store's directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.log.dir()
     }
 
     /// Bytes of committed WAL (including the header).
     pub fn wal_len(&self) -> u64 {
-        self.wal.committed_len()
+        self.log.wal_len()
     }
 
-    /// Overlay sizes `(added, tombstoned)`.
-    pub fn overlay_sizes(&self) -> (usize, usize) {
-        (self.overlay.added_len(), self.overlay.tombstoned_len())
+    /// The committed triples (staged ops are invisible).
+    pub fn store(&self) -> &TripleStore {
+        &self.store
     }
 
-    /// Merged triple count (committed view; staged ops are invisible).
+    /// Committed triple count.
     pub fn len(&self) -> usize {
-        self.overlay.merged_len(&self.base)
+        self.store.len()
     }
 
-    /// True when the merged view holds no triples.
+    /// True when the store holds no committed triples.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.store.is_empty()
     }
 
-    /// Does the committed merged view contain the triple?
+    /// Does the committed view contain the triple?
     pub fn contains(&self, s: &str, p: &str, o: &str) -> bool {
-        self.overlay.contains(&self.base, s, p, o)
+        self.store
+            .get_triple(s, p, o)
+            .is_some_and(|t| self.store.contains(t))
     }
 
-    /// Merged pattern count: base prefix counts corrected by the
-    /// overlay, without materializing. `None` = wildcard.
+    /// Committed pattern count by term strings. `None` = wildcard.
     pub fn count(&self, s: Option<&str>, p: Option<&str>, o: Option<&str>) -> usize {
-        let matches = |ts: &str, tp: &str, to: &str| -> bool {
-            s.is_none_or(|s| s == ts) && p.is_none_or(|p| p == tp) && o.is_none_or(|o| o == to)
-        };
-        let base_count = {
-            let sym = |t: Option<&str>| t.map(|t| self.base.get_term(t));
-            match (sym(s), sym(p), sym(o)) {
-                // A bound term the base never interned matches nothing.
-                (Some(None), _, _) | (_, Some(None), _) | (_, _, Some(None)) => 0,
-                (s, p, o) => self.base.count(s.flatten(), p.flatten(), o.flatten()),
-            }
-        };
-        let added = self
-            .overlay
-            .added()
-            .filter(|(ts, tp, to)| matches(ts, tp, to))
-            .count();
-        let dead = self
-            .overlay
-            .tombstoned()
-            .filter(|(ts, tp, to)| matches(ts, tp, to))
-            .count();
-        base_count + added - dead
+        let sym = |t: Option<&str>| t.map(|t| self.store.get_term(t));
+        match (sym(s), sym(p), sym(o)) {
+            // A bound term the store never interned matches nothing.
+            (Some(None), _, _) | (_, Some(None), _) | (_, _, Some(None)) => 0,
+            (s, p, o) => self.store.count(s.flatten(), p.flatten(), o.flatten()),
+        }
     }
 
-    /// All triples of the committed merged view, sorted, as strings.
+    /// All committed triples, sorted, as strings.
     pub fn scan_all(&self) -> Vec<StrTriple> {
-        let merged = self.materialize();
-        let mut out: Vec<StrTriple> = merged
+        let st = &self.store;
+        let mut out: Vec<StrTriple> = st
             .iter()
             .map(|t| {
                 (
-                    merged.term_str(t.s).to_owned(),
-                    merged.term_str(t.p).to_owned(),
-                    merged.term_str(t.o).to_owned(),
+                    st.term_str(t.s).to_owned(),
+                    st.term_str(t.p).to_owned(),
+                    st.term_str(t.o).to_owned(),
                 )
             })
             .collect();
@@ -244,54 +344,21 @@ impl DurableStore {
         out
     }
 
-    /// Folds base + overlay into a fresh read-optimised [`TripleStore`]
-    /// (the snapshot handed to SPARQL / LFTJ execution).
-    pub fn materialize(&self) -> TripleStore {
-        self.overlay.materialize(&self.base)
-    }
-
-    /// All committed edge records, base first, in commit order.
+    /// All committed edge records, in commit order.
     pub fn all_edges(&self) -> impl Iterator<Item = &EdgeRec> {
-        self.base_edges.iter().chain(self.edges.iter())
+        self.log.all_edges()
     }
 
     /// Number of committed edge records — [`all_edges`](Self::all_edges)
     /// counted in O(1).
     pub fn edge_count(&self) -> usize {
-        self.base_edges.len() + self.edges.len()
+        self.log.edge_count()
     }
 
-    /// Compacts: folds the overlay and uncompacted edges into a fresh
-    /// segment written atomically, then truncates the WAL. A crash
-    /// anywhere in between recovers to the same committed state (see
-    /// the module docs). No-op (but still truncate-safe) when nothing
-    /// has been committed since the last compaction. A state too large
-    /// for the segment's `u32` lengths is `InvalidInput`, with nothing
-    /// written and the store unchanged.
+    /// Compacts the live store into a fresh segment and truncates the
+    /// WAL (see [`DurableLog::compact`]). Staged ops stay staged.
     pub fn compact(&mut self) -> std::io::Result<()> {
-        let merged = self.materialize();
-        // Encode straight from the merged store and the edge slices.
-        // Derived data: a packed image reflects an older base, so
-        // compaction drops it; the scale pipeline regenerates it.
-        let image = segment::encode_parts(
-            self.generation,
-            merged.iter().map(|t| {
-                (
-                    merged.term_str(t.s),
-                    merged.term_str(t.p),
-                    merged.term_str(t.o),
-                )
-            }),
-            self.all_edges(),
-            None,
-        )?;
-        segment::write_image_atomic(&self.dir.join(SEGMENT_FILE), &image)?;
-        // The segment is durable; the log's batches are now redundant.
-        self.wal.reset()?;
-        self.base = merged;
-        self.base_edges.append(&mut self.edges);
-        self.overlay.clear();
-        Ok(())
+        self.log.compact(&self.store)
     }
 
     /// Read-only integrity check of the store at `dir`: decodes the
@@ -330,11 +397,6 @@ impl DurableStore {
             uncommitted_ops: replay.uncommitted_ops,
             tail: replay.tail,
         })
-    }
-
-    /// Checks the overlay invariants (testing / `verify` support).
-    pub fn check_invariants(&self) -> Result<(), String> {
-        self.overlay.check_invariants(&self.base)
     }
 }
 
@@ -467,7 +529,6 @@ mod tests {
         assert!(store.contains("b", "knows", "c"));
         assert!(!store.contains("a", "knows", "b"));
         assert_eq!(store.all_edges().count(), 1);
-        store.check_invariants().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -485,7 +546,6 @@ mod tests {
             let wal_before = store.wal_len();
             store.compact().unwrap();
             assert!(store.wal_len() < wal_before);
-            assert_eq!(store.overlay_sizes(), (0, 0));
             assert_eq!(store.len(), 9);
             assert_eq!(store.generation(), 2);
         }
@@ -522,6 +582,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Counts and scans see the segment and the logged batches as one
+    /// committed view.
     #[test]
     fn counts_consult_the_overlay() {
         let dir = tmp_dir("counts");
@@ -530,9 +592,9 @@ mod tests {
         store.stage_insert("a", "knows", "c");
         store.stage_insert("b", "likes", "c");
         store.commit().unwrap();
-        store.compact().unwrap(); // into base
-        store.stage_insert("a", "knows", "d"); // overlay add
-        store.stage_delete("a", "knows", "b"); // overlay tombstone
+        store.compact().unwrap(); // into the segment
+        store.stage_insert("a", "knows", "d"); // logged insert
+        store.stage_delete("a", "knows", "b"); // logged delete
         store.commit().unwrap();
         assert_eq!(store.count(Some("a"), Some("knows"), None), 2);
         assert_eq!(store.count(None, None, None), 3);
@@ -546,6 +608,48 @@ mod tests {
             ]
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn apply_lets_the_last_op_on_a_triple_win() {
+        let op = |insert: bool, s: &str| {
+            let (s, p, o) = (s.to_owned(), "knows".to_owned(), "z".to_owned());
+            if insert {
+                StoreOp::Insert { s, p, o }
+            } else {
+                StoreOp::Delete { s, p, o }
+            }
+        };
+        let mut st = TripleStore::new();
+        st.insert_strs("kept", "knows", "z");
+        st.insert_strs("gone", "knows", "z");
+        let ops = [
+            op(true, "a"),
+            op(false, "a"), // inserted, then deleted: absent
+            op(false, "b"),
+            op(true, "b"), // deleted, then inserted: present
+            op(false, "gone"),
+            op(true, "gone"),
+            op(false, "gone"), // the last op wins
+            op(false, "never"),
+            op(true, "kept"), // already present: not counted
+        ];
+        assert_eq!(apply(&mut st, &ops), (1, 1));
+        let mut one_by_one = TripleStore::new();
+        one_by_one.insert_strs("kept", "knows", "z");
+        one_by_one.insert_strs("gone", "knows", "z");
+        for op in &ops {
+            apply(&mut one_by_one, [op]);
+        }
+        let strings = |st: &TripleStore| -> Vec<String> {
+            let mut v: Vec<String> = st.iter().map(|t| st.term_str(t.s).to_owned()).collect();
+            v.sort();
+            v
+        };
+        assert_eq!(strings(&st), ["b", "kept"]);
+        assert_eq!(strings(&st), strings(&one_by_one));
+        // The fold never interned the triple that ended absent.
+        assert_eq!(st.get_term("a"), None);
     }
 
     #[test]

@@ -3,19 +3,21 @@
 //! The read-optimised structures in `kgq-rdf` and `kgq-graph` are
 //! immutable-at-heart: six sorted triple orderings and CSR-ish
 //! adjacency are wonderful to query and miserable to mutate in place.
-//! This crate follows the classic LSM recipe (MillenniumDB, RocksDB)
-//! to make them updatable *and* durable without giving that up:
+//! This crate makes them updatable *and* durable without giving that
+//! up, the way MillenniumDB does: one copy of the triples under several
+//! orderings, one writer, and a log in front of it:
 //!
 //! 1. **WAL** ([`wal`]) — every mutation batch is appended to a
 //!    checksummed, length-prefixed log and fsynced *before* it is
 //!    acknowledged. Recovery replays the longest valid prefix and
 //!    stops cleanly at any torn or corrupt tail.
-//! 2. **Delta overlay** ([`overlay`]) — committed mutations live in
-//!    small added/tombstoned sets consulted alongside the immutable
-//!    base segment, so reads see `(base ∪ added) ∖ tombstoned`.
-//! 3. **Compaction** ([`DurableStore::compact`]) — folds the overlay
-//!    into a fresh immutable segment (written atomically: tmp file,
-//!    fsync, rename, directory fsync) and truncates the log.
+//! 2. **One live store** ([`durable`]) — each committed batch is
+//!    applied once, in bulk, to the one [`kgq_rdf::TripleStore`] that
+//!    readers query; recovery folds every replayed batch into a single
+//!    bulk apply.
+//! 3. **Compaction** ([`DurableStore::compact`]) — encodes the live
+//!    store into a fresh immutable segment (written atomically: tmp
+//!    file, fsync, rename, directory fsync) and truncates the log.
 //! 4. **Generations** — every committed batch advances a generation
 //!    stamp with the same contract as `kgq_core::cache::QueryCache`:
 //!    cached results keyed at an old generation become unreachable the
@@ -32,14 +34,12 @@
 pub mod crc;
 pub mod durable;
 pub mod mmap;
-pub mod overlay;
 pub mod segment;
 pub mod wal;
 
 pub use crc::crc32;
-pub use durable::{DurableStore, VerifyReport};
+pub use durable::{apply, DurableLog, DurableStore, VerifyReport};
 pub use mmap::SegmentMap;
-pub use overlay::DeltaOverlay;
 pub use wal::{EdgeRec, Replay, StoreOp, TailState, Wal};
 
 /// Consults the fault-injection plan at an I/O site and translates the

@@ -1,16 +1,18 @@
-//! The bulk lifecycle against its point-insert oracle.
+//! The bulk lifecycle against its point-at-a-time oracle.
 //!
-//! `DurableStore` builds every whole store — the base at `open`, the
-//! merged view in `materialize`/`scan_all`, the next segment in
-//! `compact` — with one bulk `extend` per build. [`PointModel`] below is
-//! the lifecycle as it was before that: the same algebra, but every
-//! (re)build is one `insert_strs` per triple and compaction encodes an
-//! owned `Segment`. Random histories (insert / delete / edge / commit /
-//! compact / reopen over a universe small enough that in-batch
-//! duplicates, deletes of absent triples and deletes of overlay-only
-//! triples all occur) must leave the two indistinguishable: same merged
-//! view, same counts, same `Sym` rows in all six orderings, and a
-//! byte-identical `base.seg`.
+//! `DurableStore` keeps one live `TripleStore` and applies each
+//! committed batch to it with one bulk `apply`; recovery folds every
+//! replayed batch into a single `apply`, the last op on a triple
+//! winning. [`PointModel`] below is the same lifecycle one op at a
+//! time: every insert is an `insert_strs`, every delete a `remove`, and
+//! recovery replays each batch in turn. Random histories (insert /
+//! delete / insert-then-delete and delete-then-insert of one triple /
+//! edge / commit / compact / reopen, over a universe small enough that
+//! in-batch and cross-batch repeats of a triple, deletes of absent
+//! triples and deletes of triples inserted since the last compaction
+//! all occur) must leave the two indistinguishable: same committed
+//! view, same counts, six consistent orderings, and a `base.seg` that
+//! holds the same generation, triples and edges.
 
 use kgq_rdf::{IndexOrder, TripleStore};
 use kgq_store::segment::{self, Segment};
@@ -41,32 +43,38 @@ fn edge(id: usize) -> EdgeRec {
     }
 }
 
-fn base_contains(base: &TripleStore, (s, p, o): &StrTriple) -> bool {
-    base.get_triple(s, p, o).is_some_and(|t| base.contains(t))
+fn strings(st: &TripleStore) -> Vec<StrTriple> {
+    let mut out: Vec<StrTriple> = st
+        .iter()
+        .map(|t| {
+            (
+                st.term_str(t.s).to_owned(),
+                st.term_str(t.p).to_owned(),
+                st.term_str(t.o).to_owned(),
+            )
+        })
+        .collect();
+    out.sort();
+    out
 }
 
-/// The pre-bulk lifecycle, one point insert at a time.
+/// The lifecycle one op at a time.
 struct PointModel {
     generation: u64,
-    base: TripleStore,
-    base_edges: Vec<EdgeRec>,
-    added: BTreeSet<StrTriple>,
-    tombstoned: BTreeSet<StrTriple>,
+    store: TripleStore,
     edges: Vec<EdgeRec>,
     /// Batches committed since the last compaction (what the WAL holds).
     log: Vec<Vec<StoreOp>>,
-    /// What `base.seg` must hold, byte for byte (`None` = no file yet).
-    segment: Option<Vec<u8>>,
+    /// What `base.seg` must hold: generation, sorted triples, edges
+    /// (`None` = no file yet).
+    segment: Option<(u64, Vec<StrTriple>, Vec<EdgeRec>)>,
 }
 
 impl PointModel {
     fn new() -> PointModel {
         PointModel {
             generation: 0,
-            base: TripleStore::new(),
-            base_edges: Vec::new(),
-            added: BTreeSet::new(),
-            tombstoned: BTreeSet::new(),
+            store: TripleStore::new(),
             edges: Vec::new(),
             log: Vec::new(),
             segment: None,
@@ -76,20 +84,15 @@ impl PointModel {
     fn apply(&mut self, op: &StoreOp) {
         match op {
             StoreOp::Insert { s, p, o } => {
-                let key = (s.clone(), p.clone(), o.clone());
-                if !self.tombstoned.remove(&key) && !base_contains(&self.base, &key) {
-                    self.added.insert(key);
-                }
+                self.store.insert_strs(s, p, o);
             }
             StoreOp::Delete { s, p, o } => {
-                let key = (s.clone(), p.clone(), o.clone());
-                if !self.added.remove(&key) && base_contains(&self.base, &key) {
-                    self.tombstoned.insert(key);
+                if let Some(t) = self.store.get_triple(s, p, o) {
+                    self.store.remove(t);
                 }
             }
             StoreOp::EdgeAdd(e) => {
-                let known = self.base_edges.iter().chain(&self.edges);
-                if !known.into_iter().any(|k| k.id == e.id) {
+                if !self.edges.iter().any(|k| k.id == e.id) {
                     self.edges.push(e.clone());
                 }
             }
@@ -107,89 +110,23 @@ impl PointModel {
         self.generation += 1;
     }
 
-    fn materialize(&self) -> TripleStore {
-        let mut merged = TripleStore::new();
-        for t in self.base.iter() {
-            let s = self.base.term_str(t.s);
-            let p = self.base.term_str(t.p);
-            let o = self.base.term_str(t.o);
-            if !self
-                .tombstoned
-                .contains(&(s.to_owned(), p.to_owned(), o.to_owned()))
-            {
-                merged.insert_strs(s, p, o);
-            }
-        }
-        for (s, p, o) in &self.added {
-            merged.insert_strs(s, p, o);
-        }
-        merged
-    }
-
-    fn scan_all(&self) -> Vec<StrTriple> {
-        let merged = self.materialize();
-        let mut out: Vec<StrTriple> = merged
-            .iter()
-            .map(|t| {
-                (
-                    merged.term_str(t.s).to_owned(),
-                    merged.term_str(t.p).to_owned(),
-                    merged.term_str(t.o).to_owned(),
-                )
-            })
-            .collect();
-        out.sort();
-        out
-    }
-
     fn compact(&mut self) {
-        let merged = self.materialize();
-        let triples: Vec<StrTriple> = merged
-            .iter()
-            .map(|t| {
-                (
-                    merged.term_str(t.s).to_owned(),
-                    merged.term_str(t.p).to_owned(),
-                    merged.term_str(t.o).to_owned(),
-                )
-            })
-            .collect();
-        let edges: Vec<EdgeRec> = self.base_edges.iter().chain(&self.edges).cloned().collect();
-        let seg = Segment {
-            generation: self.generation,
-            triples,
-            edges,
-            packed: None,
-        };
-        self.segment = Some(segment::encode(&seg));
-        self.base = merged;
-        self.base_edges = seg.edges;
-        self.edges.clear();
-        self.added.clear();
-        self.tombstoned.clear();
+        self.segment = Some((self.generation, strings(&self.store), self.edges.clone()));
         self.log.clear();
     }
 
-    /// Recovery: decode the segment, rebuild the base one triple at a
-    /// time, replay the log.
+    /// Recovery: rebuild from the segment one triple at a time, then
+    /// replay each logged batch in turn.
     fn reopen(&mut self) {
-        let seg = match &self.segment {
-            Some(image) => segment::decode(image).unwrap(),
-            None => Segment::default(),
-        };
-        self.base = TripleStore::new();
-        for (s, p, o) in &seg.triples {
-            self.base.insert_strs(s, p, o);
+        let (generation, triples, edges) = self.segment.clone().unwrap_or_default();
+        self.store = TripleStore::new();
+        for (s, p, o) in &triples {
+            self.store.insert_strs(s, p, o);
         }
-        self.base_edges = seg.edges;
-        self.edges.clear();
-        self.added.clear();
-        self.tombstoned.clear();
+        self.edges = edges;
+        self.generation = generation;
         for ops in std::mem::take(&mut self.log) {
-            for op in &ops {
-                self.apply(op);
-            }
-            self.log.push(ops);
+            self.commit(ops);
         }
     }
 }
@@ -208,15 +145,10 @@ fn tmp_dir() -> PathBuf {
 /// Everything observable about the two must agree.
 fn assert_same(real: &DurableStore, model: &PointModel) -> proptest::test_runner::TestCaseResult {
     prop_assert_eq!(real.generation(), model.generation);
-    let want = model.scan_all();
+    let want = strings(&model.store);
     prop_assert_eq!(&real.scan_all(), &want);
     prop_assert_eq!(real.len(), want.len());
     prop_assert_eq!(real.is_empty(), want.is_empty());
-    prop_assert_eq!(
-        real.overlay_sizes(),
-        (model.added.len(), model.tombstoned.len())
-    );
-    prop_assert!(real.check_invariants().is_ok());
 
     // `contains` over the whole universe; `count` over every pattern
     // shape, with a term the store never saw thrown in.
@@ -256,16 +188,11 @@ fn assert_same(real: &DurableStore, model: &PointModel) -> proptest::test_runner
         }
     }
 
-    // The bulk-built merged store is the point-built one, row for row:
-    // same interning order, so the same `Sym`s in all six orderings.
-    let (bulk, point) = (real.materialize(), model.materialize());
-    let interned = |st: &TripleStore| -> Vec<String> {
-        st.terms().iter().map(|(_, s)| s.to_owned()).collect()
-    };
-    prop_assert_eq!(interned(&bulk), interned(&point));
-    let spo: BTreeSet<kgq_rdf::Triple> = bulk.iter().collect();
+    // The live store's six orderings are sorted and hold one set.
+    let live = real.store();
+    let spo: BTreeSet<kgq_rdf::Triple> = live.iter().collect();
     for ord in IndexOrder::ALL {
-        let rows = bulk.order(ord);
+        let rows = live.order(ord);
         prop_assert!(
             rows.windows(2).all(|w| w[0] < w[1]),
             "{} unsorted",
@@ -273,17 +200,32 @@ fn assert_same(real: &DurableStore, model: &PointModel) -> proptest::test_runner
         );
         let via: BTreeSet<kgq_rdf::Triple> = rows.iter().map(|&k| ord.triple(k)).collect();
         prop_assert_eq!(&via, &spo, "ordering {} holds another set", ord.name());
-        prop_assert_eq!(rows, point.order(ord), "ordering {}", ord.name());
     }
 
     // Edges, and the segment on disk.
     let edges: Vec<&EdgeRec> = real.all_edges().collect();
-    let model_edges: Vec<&EdgeRec> = model.base_edges.iter().chain(&model.edges).collect();
-    prop_assert_eq!(real.edge_count(), model_edges.len());
-    prop_assert_eq!(edges, model_edges);
-    let on_disk = std::fs::read(real.dir().join("base.seg")).ok();
-    prop_assert_eq!(&on_disk, &model.segment, "base.seg bytes diverged");
+    prop_assert_eq!(real.edge_count(), model.edges.len());
+    prop_assert_eq!(edges, model.edges.iter().collect::<Vec<_>>());
+    let on_disk = std::fs::read(real.dir().join("base.seg"))
+        .ok()
+        .map(|image| segment::decode(&image).unwrap())
+        .map(|seg: Segment| {
+            let mut triples = seg.triples;
+            triples.sort();
+            (seg.generation, triples, seg.edges)
+        });
+    prop_assert_eq!(&on_disk, &model.segment, "base.seg holds another state");
     Ok(())
+}
+
+/// Stages `op` on the real store and in the model's pending batch.
+fn stage(real: &mut DurableStore, staged: &mut Vec<StoreOp>, op: StoreOp) {
+    match &op {
+        StoreOp::Insert { s, p, o } => real.stage_insert(s, p, o),
+        StoreOp::Delete { s, p, o } => real.stage_delete(s, p, o),
+        StoreOp::EdgeAdd(e) => real.stage_edge(e.clone()),
+    }
+    staged.push(op);
 }
 
 proptest! {
@@ -292,7 +234,7 @@ proptest! {
     #[test]
     fn bulk_lifecycle_equals_the_point_insert_oracle(
         steps in proptest::collection::vec(
-            (0u8..12, 0..SUBJECTS, 0..PREDICATES, 0..OBJECTS),
+            (0u8..14, 0..SUBJECTS, 0..PREDICATES, 0..OBJECTS),
             1..70,
         ),
     ) {
@@ -302,32 +244,35 @@ proptest! {
         let mut staged: Vec<StoreOp> = Vec::new();
         for (kind, s, p, o) in steps {
             let (ts, tp, to) = name(s, p, o);
+            let insert = StoreOp::Insert { s: ts.clone(), p: tp.clone(), o: to.clone() };
+            let delete = StoreOp::Delete { s: ts, p: tp, o: to };
             match kind {
-                0..=4 => {
-                    real.stage_insert(&ts, &tp, &to);
-                    staged.push(StoreOp::Insert { s: ts, p: tp, o: to });
+                0..=3 => stage(&mut real, &mut staged, insert),
+                4..=5 => stage(&mut real, &mut staged, delete),
+                6 => {
+                    // One triple inserted, then deleted, in one batch.
+                    stage(&mut real, &mut staged, insert);
+                    stage(&mut real, &mut staged, delete);
                 }
-                5..=7 => {
-                    real.stage_delete(&ts, &tp, &to);
-                    staged.push(StoreOp::Delete { s: ts, p: tp, o: to });
+                7 => {
+                    stage(&mut real, &mut staged, delete);
+                    stage(&mut real, &mut staged, insert);
                 }
-                8 => {
-                    real.stage_edge(edge(s + o));
-                    staged.push(StoreOp::EdgeAdd(edge(s + o)));
-                }
-                9 => {
+                8 => stage(&mut real, &mut staged, StoreOp::EdgeAdd(edge(s + o))),
+                9..=10 => {
                     real.commit().unwrap();
                     model.commit(std::mem::take(&mut staged));
                     assert_same(&real, &model)?;
                 }
-                10 => {
+                11 => {
                     // Staged ops survive a compaction untouched.
                     real.compact().unwrap();
                     model.compact();
                     assert_same(&real, &model)?;
                 }
                 _ => {
-                    // Staged, uncommitted ops die with the process.
+                    // Staged, uncommitted ops die with the process; the
+                    // recovery fold must equal replaying each batch.
                     drop(real);
                     staged.clear();
                     real = DurableStore::open(&dir).unwrap().0;
@@ -338,6 +283,10 @@ proptest! {
         }
         real.commit().unwrap();
         model.commit(staged);
+        assert_same(&real, &model)?;
+        drop(real);
+        let mut real = DurableStore::open(&dir).unwrap().0;
+        model.reopen();
         assert_same(&real, &model)?;
         real.compact().unwrap();
         model.compact();

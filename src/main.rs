@@ -37,7 +37,7 @@ fn usage() -> ExitCode {
          kgq rdf FILE (path EXPR|select QUERY|infer)\n  \
          kgq sparql FILE QUERY [--explain|--count] [GOVERN]\n  \
          kgq analyze (query|cypher|sparql|rules) FILE TEXT\n  \
-         kgq serve GRAPH [--nt FILE] [--store DIR] [--port P] [--workers W] [GOVERN]\n  \
+         kgq serve GRAPH [--nt FILE | --store DIR] [--port P] [--workers W] [GOVERN]\n  \
          kgq store (init DIR [--nt FILE]|append DIR FILE [--delete]|compact DIR|verify DIR|dump DIR)\n  \
          kgq scale gen FILE.seg [--nodes N] [--m M] [--labels L] [--seed S] [--edge-ids]\n  \
          kgq scale stats FILE.seg\n  \
@@ -476,8 +476,9 @@ fn cmd_store(args: &[String]) -> Result<String, String> {
     }
 }
 
-/// `kgq serve GRAPH [--nt FILE] [--port P] [--workers W] [GOVERN]` —
-/// long-lived multi-client query server over the loaded snapshot.
+/// `kgq serve GRAPH [--nt FILE | --store DIR] [--port P] [--workers W]
+/// [GOVERN]` — long-lived multi-client query server over the loaded
+/// snapshot.
 /// GOVERN flags become the *server-side* caps every request is admitted
 /// under (componentwise min with the client's own caps). Prints
 /// `listening on ADDR` once bound, then blocks until a client sends
@@ -487,16 +488,24 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
     let [path, rest @ ..] = args else {
         return Err("serve needs GRAPH".into());
     };
+    let (nt, store_dir) = (str_flag(rest, "--nt"), str_flag(rest, "--store"));
+    if let (Some(nt_path), Some(dir)) = (nt, store_dir) {
+        return Err(format!(
+            "serve: --nt and --store cannot be combined: triples loaded with --nt would \
+             be served but never persisted; load them into the store first with \
+             `kgq store init {dir} --nt {nt_path}`"
+        ));
+    }
     let mut g = load_graph(path)?;
-    let mut st = match str_flag(rest, "--nt") {
+    let st = match nt {
         Some(nt_path) => load_store(nt_path)?,
         None => rdf::TripleStore::new(),
     };
-    // `--store DIR`: recover the durable store and fold its committed
-    // state into the snapshot; INSERT/DELETE batches are then
-    // WAL-committed (fsynced) before acknowledgement, and FLUSH
-    // compacts. Without it mutations stay in-memory only.
-    let durable = match str_flag(rest, "--store") {
+    // `--store DIR`: recover the durable store, which the server then
+    // serves as its store; INSERT/DELETE batches are WAL-committed
+    // (fsynced) before acknowledgement, and FLUSH compacts. Without it
+    // mutations stay in-memory only.
+    let durable = match store_dir {
         Some(dir) => {
             let (durable, replay) = kgq_store::DurableStore::open(std::path::Path::new(dir))
                 .map_err(|e| format!("{dir}: {e}"))?;
@@ -508,9 +517,6 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
                     replay.uncommitted_ops
                 );
             }
-            // One bulk merge into whatever `--nt` loaded, terms interned
-            // in the merged view's sorted order.
-            st.extend_strs(&durable.scan_all());
             kgq_serve::apply_edges(&mut g, durable.all_edges());
             eprintln!(
                 "kgq serve: {dir}: recovered generation {} ({} triples, {} edges)",

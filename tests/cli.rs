@@ -516,3 +516,26 @@ fn hostile_node_offsets_are_typed_errors() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A Cypher search shorter than one governor batch still answers to a
+/// step budget: the closing flush charges what the ticker held back,
+/// so the rows come back as an exact prefix under a `# partial:` line.
+#[test]
+fn cypher_step_budget_trips_a_search_shorter_than_one_batch() {
+    let fig2 = kgq::graph::io::write_property(&kgq::graph::figures::figure2_property());
+    let path = temp_graph("fig2.kgq", &fig2);
+    let p = path.to_str().unwrap();
+    let q = "MATCH (p:person) RETURN p";
+    let full = stdout(&run(&["cypher", p, q]));
+    assert!(!full.is_empty());
+    let tripped = stdout(&run(&["cypher", p, q, "--max-steps", "1"]));
+    let (rows, last) = tripped
+        .trim_end_matches('\n')
+        .rsplit_once('\n')
+        .map_or(("", tripped.trim_end()), |(rows, last)| (rows, last));
+    assert!(last.starts_with("# partial:"), "{tripped}");
+    assert!(
+        full.starts_with(rows),
+        "{rows:?} is not a prefix of {full:?}"
+    );
+}

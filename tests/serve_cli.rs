@@ -5,7 +5,7 @@
 
 use kgq_serve::{stat, Caps, Client};
 use std::io::BufRead;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
 use std::time::Duration;
 
@@ -48,11 +48,19 @@ fn boot(extra: &[&str]) -> (Child, String, PathBuf, PathBuf) {
         ])),
     );
     let nt = temp_file(&format!("data-{:?}.nt", std::thread::current().id()), NT);
+    let mut args = vec!["--nt", nt.to_str().unwrap()];
+    args.extend(extra);
+    let (child, addr) = spawn_server(&graph, &args);
+    (child, addr, graph, nt)
+}
+
+/// Spawns `kgq serve GRAPH ARGS --port 0` and waits for its banner.
+fn spawn_server(graph: &Path, args: &[&str]) -> (Child, String) {
     let mut child = kgq()
         .arg("serve")
-        .arg(&graph)
-        .args(["--nt", nt.to_str().unwrap(), "--port", "0"])
-        .args(extra)
+        .arg(graph)
+        .args(args)
+        .args(["--port", "0"])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -66,7 +74,7 @@ fn boot(extra: &[&str]) -> (Child, String, PathBuf, PathBuf) {
         .strip_prefix("listening on ")
         .unwrap_or_else(|| panic!("unexpected banner {line:?}"))
         .to_string();
-    (child, addr, graph, nt)
+    (child, addr)
 }
 
 fn connect(addr: &str) -> Client {
@@ -325,4 +333,173 @@ fn cli_output_equals_snapshot_execute_for_every_verb() {
     let after = snap.cache().stats();
     assert_eq!(after.short_circuits, before.short_circuits + 1);
     assert_eq!(after.misses, before.misses);
+}
+
+/// `kgq serve --store DIR` through the binary: INSERT, DELETE, FLUSH and
+/// more INSERTs, then a SIGKILL with no `SHUTDOWN` and a restart. Before
+/// the kill and after the restart, SPARQL and RPQ answers equal those of
+/// an oracle built from a point-updated `TripleStore` and the same edge
+/// records.
+#[test]
+fn durable_server_survives_a_kill_and_matches_an_oracle_store() {
+    use kgq::store::EdgeRec;
+    use kgq_serve::{apply_edges, Snapshot, Verb};
+    let graph_text = stdout(&run(&[
+        "generate", "contact", "--people", "30", "--seed", "7",
+    ]));
+    let graph = temp_file("durable-graph.kgq", &graph_text);
+    let nt = temp_file("durable-load.nt", NT);
+    let dir = std::env::temp_dir().join(format!("kgq-serve-cli-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let d = dir.to_str().unwrap();
+    stdout(&run(&["store", "init", d, "--nt", nt.to_str().unwrap()]));
+
+    let mut oracle = kgq::rdf::parse_ntriples(NT).unwrap();
+    let mut edges: Vec<EdgeRec> = Vec::new();
+    let triple = |line: &str| -> (String, String, String) {
+        let t: Vec<String> = line
+            .split_whitespace()
+            .take(3)
+            .map(|w| w.trim_matches(|c| c == '<' || c == '>').to_owned())
+            .collect();
+        (t[0].clone(), t[1].clone(), t[2].clone())
+    };
+    let queries: Vec<(Verb, &str)> = vec![
+        (Verb::Sparql, "SELECT ?x ?y WHERE { ?x <knows> ?y . }"),
+        (
+            Verb::Sparql,
+            "SELECT ?x ?y ?z WHERE { ?x <knows> ?y . ?y <knows> ?z . }",
+        ),
+        (Verb::Sparql, "SELECT ?x WHERE { ?x <type> <P> . }"),
+        (Verb::Query, "pairs\nrides"),
+        (Verb::Query, "starts\nrides/rides^-"),
+    ];
+    let check = |addr: &str, oracle: &kgq::rdf::TripleStore, edges: &[EdgeRec], when: &str| {
+        let mut g = kgq::graph::io::read_property(&graph_text).unwrap();
+        apply_edges(&mut g, edges.iter());
+        let snap = Snapshot::new(g, oracle.clone(), kgq::core::Budget::unlimited());
+        let mut c = connect(addr);
+        for (verb, payload) in &queries {
+            let want = snap.execute(*verb, &Caps::none(), payload, kgq::core::CancelToken::new());
+            let got = match verb {
+                Verb::Sparql => c.sparql(payload, &Caps::none()).unwrap(),
+                _ => {
+                    let (op, expr) = payload.split_once('\n').unwrap();
+                    c.rpq(op, expr, &Caps::none()).unwrap()
+                }
+            };
+            assert!(got.ok && want.ok, "{when}: {payload}: {}", got.body);
+            assert_eq!(got.body, want.body, "{when}: {payload}");
+        }
+    };
+
+    let (mut child, addr) = spawn_server(&graph, &["--store", d]);
+    let mut c = connect(&addr);
+    let mut insert = |c: &mut Client, oracle: &mut kgq::rdf::TripleStore, lines: &[&str]| {
+        let r = c.insert(&lines.join("\n")).unwrap();
+        assert!(r.ok, "{}", r.body);
+        for line in lines {
+            if let Some(spec) = line.strip_prefix("edge ") {
+                let w: Vec<&str> = spec.split_whitespace().collect();
+                edges.push(EdgeRec {
+                    id: format!("srv-e{}", edges.len()),
+                    src: w[0].into(),
+                    label: w[1].into(),
+                    dst: w[2].into(),
+                    src_label: w[3].into(),
+                    dst_label: w[4].into(),
+                });
+            } else {
+                let (s, p, o) = triple(line);
+                oracle.insert_strs(&s, &p, &o);
+            }
+        }
+    };
+    let delete = |c: &mut Client, oracle: &mut kgq::rdf::TripleStore, lines: &[&str]| {
+        let r = c.delete(&lines.join("\n")).unwrap();
+        assert!(r.ok, "{}", r.body);
+        for line in lines {
+            let (s, p, o) = triple(line);
+            if let Some(t) = oracle.get_triple(&s, &p, &o) {
+                oracle.remove(t);
+            }
+        }
+    };
+    insert(
+        &mut c,
+        &mut oracle,
+        &[
+            "<c> <knows> <d> .",
+            "<d> <knows> <a> .",
+            "<d> <type> <P> .",
+            "edge zed rides bus9 person bus",
+        ],
+    );
+    delete(
+        &mut c,
+        &mut oracle,
+        &["<a> <knows> <b> .", "<d> <type> <P> ."],
+    );
+    let flush = c.flush().unwrap();
+    assert!(
+        flush.ok && flush.body.contains("compacted"),
+        "{}",
+        flush.body
+    );
+    insert(
+        &mut c,
+        &mut oracle,
+        &[
+            "<a> <knows> <b> .",
+            "<e> <knows> <c> .",
+            "edge zed rides bus8 person bus",
+        ],
+    );
+    delete(&mut c, &mut oracle, &["<b> <knows> <c> ."]);
+    insert(
+        &mut c,
+        &mut oracle,
+        &["<b> <knows> <c> .", "<e> <type> <P> ."],
+    );
+    let stats = c.stats().unwrap();
+    assert!(
+        !stats.contains("overlay"),
+        "STATS still reports an overlay: {stats}"
+    );
+    check(&addr, &oracle, &edges, "before the kill");
+    drop(c);
+
+    // No SHUTDOWN: every acknowledged batch must come back from disk.
+    child.kill().unwrap();
+    child.wait().unwrap();
+    let (child, addr) = spawn_server(&graph, &["--store", d]);
+    check(&addr, &oracle, &edges, "after the restart");
+    stop(child, &addr);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Triples loaded with `--nt` into a `--store` server would be served
+/// but never persisted, so the pair is refused up front.
+#[test]
+fn serve_refuses_nt_together_with_store() {
+    let graph = temp_file("refuse-graph.kgq", "");
+    let nt = temp_file("refuse.nt", NT);
+    let dir = std::env::temp_dir().join(format!("kgq-serve-cli-refuse-{}", std::process::id()));
+    let out = run(&[
+        "serve",
+        graph.to_str().unwrap(),
+        "--nt",
+        nt.to_str().unwrap(),
+        "--store",
+        dir.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.starts_with("error: serve: --nt and --store cannot be combined")
+            && err.contains("kgq store init"),
+        "{err}"
+    );
+    assert!(!dir.exists(), "a refused serve must not create the store");
 }

@@ -37,8 +37,8 @@
 //!    `kgq_core::parallel::partitioned`; no other file splits its own
 //!    chunks or calls rayon, except the order-free sums exempt by name.
 //! 10. **forbidden calls** — a crate's shipping code makes none of the
-//!     calls listed against it (the Cypher matcher neither compiles nor
-//!     sweeps an RPQ product).
+//!     calls listed against it (the server copies no durable store out;
+//!     the Cypher matcher neither compiles nor sweeps an RPQ product).
 //! 11. **full-run benchmark files** — every committed `BENCH_*.json`
 //!     says `"quick": false`.
 
@@ -434,8 +434,12 @@ fn unsafe_audit_ratchet_is_exact() {
 /// durable(0) < graph(1) < schema(2) < store(3) = sketches(3) <
 /// sched(4) < conns(5) < reader_handles(6) < writer(7) <
 /// shutdown_requested(8)
+///
+/// The durable mutex guards only the store's log half (the served
+/// triples are the store lock's): a mutation commits under it, then
+/// takes graph and store to apply the batch, and `FLUSH` takes durable,
+/// then the store read lock to compact from the served store.
 const LOCK_RANKS: &[(&str, u32, &str)] = &[
-    ("durable.lock()", 0, "durable"),
     ("|m|m.lock()", 0, "durable"),
     ("self.durable_lock()", 0, "durable"),
     ("self.graph.read()", 1, "graph"),
@@ -805,10 +809,22 @@ fn partitioned_is_the_only_fan_out() {
 }
 
 /// Calls a crate's shipping code may not make: `(source dir, token,
-/// why)`. Cypher `MATCH` is a conjunctive pattern run by its own
-/// backtracking matcher; compiling or sweeping an RPQ product beside it
-/// would be a second engine for the same answer.
+/// why)`. `kgq serve --store` serves the durable store's one live
+/// triple store, so the server never copies it out. Cypher `MATCH` is a
+/// conjunctive pattern run by its own backtracking matcher; compiling
+/// or sweeping an RPQ product beside it would be a second engine for
+/// the same answer.
 const FORBIDDEN_CALLS: &[(&str, &str, &str)] = &[
+    (
+        "crates/serve/src",
+        "scan_all(",
+        "the server serves the durable store itself; a string scan of it builds a second copy",
+    ),
+    (
+        "crates/serve/src",
+        "materialize(",
+        "the server serves the durable store itself; a materialized fold is a second copy",
+    ),
     (
         "crates/cypher/src",
         "get_or_compile",
