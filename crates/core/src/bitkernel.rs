@@ -1,51 +1,85 @@
-//! Bit-parallel multi-source reachability kernels over the product.
+//! The bit-parallel multi-source sweep behind every RPQ scan.
 //!
-//! The all-pairs and node-extraction evaluators ([`crate::eval`]) need the
-//! accepting states reachable from *every* graph node's initial states.
-//! Running one BFS per source touches the product CSR `n` times; this
-//! module instead sweeps **64 sources per pass** (the machine word width,
-//! in the style of multi-source BFS): the visited set is a bit-matrix
-//! `Vec<u64>` with one word per product state, bit `j` meaning "reachable
-//! from the batch's `j`-th source", and successor expansion is a single
-//! `|=` that advances all 64 frontiers at once.
+//! The all-pairs and node-extraction evaluators need the accepting states
+//! reachable from *every* source's initial states. Running one BFS per
+//! source touches the transitions `n` times; this module instead sweeps
+//! **64 sources per pass** (the machine word width, in the style of
+//! multi-source BFS): the visited set is a bit-matrix `Vec<u64>` with one
+//! word per state, bit `j` meaning "reachable from the batch's `j`-th
+//! source", and successor expansion is a single `|=` that advances all 64
+//! frontiers at once.
 //!
-//! Propagation is sparse: a worklist holds only states with undelivered
-//! bits (`pending`), so each pass does work proportional to the number of
-//! *newly set* bits, not to `states × rounds`. One pass over the product
-//! therefore replaces up to 64 whole BFS traversals, which is where the
-//! order-of-magnitude win on the hot path comes from — no threads needed
-//! (and composing with them: batches are independent, so passes fan out
-//! across the pool like per-source scans did).
+//! The sweep steps on a [`Transitions`] source, of which there are two:
+//! the deduplicated product CSR of a [`ReachKernel`] (the product route,
+//! [`crate::eval::Evaluator`]) and the implicit `v·|Q| + q` states of a
+//! label automaton over an adjacency, never materialized (the scale
+//! route, [`crate::scale::ScaleEvaluator`]). Both run through [`scan`]: one
+//! propagation loop ([`Sweep::run`]), one lane-major extraction
+//! ([`Sweep::pairs_into`], [`Sweep::starts_into`]), one accounting.
 //!
-//! Determinism: within a batch, bits are delivered in whatever order the
-//! worklist pops, but the *final* visited matrix is the unique reachability
-//! fixpoint, and result extraction ([`ReachKernel::batch_ends`]) walks
-//! accepting states in order and sorts per source — so kernel output is a
-//! pure function of the product, independent of thread count and batch
-//! scheduling. [`crate::eval`] exploits that to stay byte-identical to its
-//! sequential reference implementations.
+//! Propagation is round-synchronized (level BFS): all 64 frontiers
+//! advance together, so a state accumulates every bit arriving in a round
+//! *before* its successors are scanned, and one expansion delivers the
+//! whole merged mask. A state waits for expansion at most once at a time
+//! (one queued bit per state), so the per-state sweep memory is one
+//! `u64` plus one bit, reused across the batches of a part and cleared
+//! through the list of states the batch touched.
 //!
-//! The kernel also carries the deduplicated successor/predecessor CSRs
-//! (edge ids dropped, targets deduped) used by the bidirectional
-//! meet-in-the-middle search behind [`crate::eval::Evaluator::check`] and
-//! `shortest_witness`: reachability only needs *whether* a neighbouring
-//! state is reachable, and collapsing parallel edges shrinks the scanned
-//! lists.
+//! Determinism: the final visited matrix is the unique reachability
+//! fixpoint, and extraction walks accepting states in node order with
+//! lanes in bit order, so output is a pure function of the transitions:
+//! sources ascending, then targets ascending, at every thread count and
+//! part split.
+//!
+//! The kernel also carries the deduplicated predecessor CSR used by the
+//! bidirectional meet-in-the-middle search behind
+//! [`crate::eval::Evaluator::check`]: reachability only needs *whether*
+//! a neighbouring state is reachable, and collapsing parallel edges
+//! shrinks the scanned lists.
 
-use crate::govern::{Governor, Interrupt, Ticker};
+use crate::govern::{EvalError, Governed, Governor, Interrupt, Ticker};
+use crate::parallel::partitioned;
 use crate::product::{PState, Product};
 use kgq_graph::NodeId;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Sources swept per pass: one per bit of the frontier word.
 pub const BATCH: usize = 64;
 
-/// Per-state bytes charged to the governor for one sweep's bit-matrix
-/// (`visited` + `pending`, one `u64` each).
-const SWEEP_BYTES_PER_STATE: u64 = 16;
+/// Bytes one sweep allocates for `states` states: a lane-mask word per
+/// state plus the queued bitset. Touched-list growth is charged on top.
+pub(crate) fn sweep_bytes(states: u64) -> u64 {
+    states * 8 + states.div_ceil(64) * 8
+}
+
+/// What the sweep steps on: states `0..state_count()`, the states a
+/// source node starts in, and each state's successors.
+pub(crate) trait Transitions: Sync {
+    /// Number of states, the rows of the visited matrix.
+    fn state_count(&self) -> usize;
+    /// Calls `f` on each state source node `v` starts in.
+    fn starts(&self, v: u32, f: impl FnMut(u32));
+    /// Charges one expansion of `s` to `ticker` and calls `f` on each
+    /// successor. `buf` is decode scratch reused across calls.
+    fn expand(
+        &self,
+        s: u32,
+        buf: &mut Vec<u32>,
+        ticker: &mut Ticker<'_>,
+        f: impl FnMut(u32),
+    ) -> Result<(), Interrupt>;
+    /// Calls `f` on every accepting state that may be among `reached`.
+    fn accepting(&self, reached: &[u32], f: impl FnMut(u32));
+    /// Calls `f(node, state)` on every accepting state that may be among
+    /// `reached`, in ascending node order. May reorder `reached`.
+    fn accepting_by_node(&self, reached: &mut [u32], f: impl FnMut(u32, u32));
+}
 
 /// Precomputed reachability view of a [`Product`]: deduplicated
 /// successor/predecessor adjacency (edge identities dropped) plus the
-/// accepting-state list, in flat CSR form.
+/// accepting states by node, in flat CSR form.
 pub struct ReachKernel {
     /// CSR offsets into `succ`.
     succ_off: Vec<u32>,
@@ -57,13 +91,8 @@ pub struct ReachKernel {
     pred: Vec<PState>,
     /// All accepting product states, ascending.
     accepting: Vec<PState>,
-    /// Accepting states with their graph nodes, sorted by node — lets
-    /// [`ReachKernel::batch_ends`] emit each source's ends already
-    /// sorted, with no per-source sort.
+    /// Accepting states with their graph nodes, sorted by node.
     accepting_by_node: Vec<(NodeId, PState)>,
-    /// Distinct nodes among the accepting states: an upper bound on any
-    /// source's end count, used to pre-size extraction buckets.
-    accepting_nodes: usize,
 }
 
 impl ReachKernel {
@@ -94,11 +123,6 @@ impl ReachKernel {
         let mut accepting_by_node: Vec<(NodeId, PState)> =
             accepting.iter().map(|&s| (p.node_of(s), s)).collect();
         accepting_by_node.sort_unstable();
-        let accepting_nodes = accepting_by_node
-            .windows(2)
-            .filter(|w| w[0].0 != w[1].0)
-            .count()
-            + usize::from(!accepting_by_node.is_empty());
         ReachKernel {
             succ_off,
             succ,
@@ -106,7 +130,6 @@ impl ReachKernel {
             pred,
             accepting,
             accepting_by_node,
-            accepting_nodes,
         }
     }
 
@@ -133,210 +156,48 @@ impl ReachKernel {
     /// [`BATCH`] sources (bit `j` of word `s` ⇔ product state `s` is
     /// reachable from `sources[j]`'s initial states).
     pub fn sweep(&self, p: &Product, sources: &[NodeId]) -> Vec<u64> {
-        match self.sweep_impl(p, sources, None) {
+        match self.sweep_with(p, sources, &mut Ticker::none()) {
             Ok(v) => v,
             Err(i) => unreachable!("ungoverned sweep interrupted: {i}"),
         }
     }
 
-    /// Governed [`ReachKernel::sweep`]: charges the bit-matrix to the
-    /// memory budget (caller releases via [`ReachKernel::release_sweep`])
-    /// and ticks the step budget per successor-mask merge, batched
-    /// through [`Ticker`].
+    /// Governed [`ReachKernel::sweep`]: holds the bit-matrix against the
+    /// memory budget while it runs and charges each expansion's
+    /// out-degree to the step budget — exactly one part of a governed
+    /// scan.
     pub fn sweep_governed(
         &self,
         p: &Product,
         sources: &[NodeId],
         gov: &Governor,
     ) -> Result<Vec<u64>, Interrupt> {
-        gov.charge_memory(SWEEP_BYTES_PER_STATE * self.state_count() as u64)?;
-        self.sweep_impl(p, sources, Some(gov))
+        let bytes = sweep_bytes(self.state_count() as u64);
+        let swept = gov
+            .charge_memory(bytes)
+            .and_then(|()| self.sweep_with(p, sources, &mut Ticker::new(gov)));
+        gov.release_memory(bytes);
+        swept
     }
 
-    /// Returns the memory charged by [`ReachKernel::sweep_governed`].
-    pub fn release_sweep(&self, gov: &Governor) {
-        gov.release_memory(SWEEP_BYTES_PER_STATE * self.state_count() as u64);
-    }
-
-    fn sweep_impl(
+    fn sweep_with(
         &self,
         p: &Product,
         sources: &[NodeId],
-        gov: Option<&Governor>,
+        ticker: &mut Ticker<'_>,
     ) -> Result<Vec<u64>, Interrupt> {
         debug_assert!(sources.len() <= BATCH, "more than {BATCH} sources");
-        let n = self.state_count();
-        let mut ticker = Ticker::maybe(gov);
-        let mut visited = vec![0u64; n];
-        // Bits set but not yet propagated; a state is on the frontier iff
-        // its pending word is non-zero. Propagation is round-synchronized
-        // (level BFS): all 64 frontiers advance together, so a state
-        // accumulates every bit arriving in a round *before* its
-        // successors are scanned — one expansion then delivers the whole
-        // merged mask, which is where the 64-way sharing pays off. (A
-        // LIFO worklist would trickle bits one at a time and do
-        // per-source work again.)
-        let mut pending = vec![0u64; n];
-        let mut frontier: Vec<PState> = Vec::new();
-        let mut next: Vec<PState> = Vec::new();
-        for (j, &v) in sources.iter().enumerate() {
-            let bit = 1u64 << j;
-            for &s in p.initial(v) {
-                if visited[s as usize] & bit == 0 {
-                    visited[s as usize] |= bit;
-                    if pending[s as usize] == 0 {
-                        frontier.push(s);
-                    }
-                    pending[s as usize] |= bit;
-                }
-            }
-        }
-        let governed = gov.is_some();
-        while !frontier.is_empty() {
-            for idx in 0..frontier.len() {
-                let s = frontier[idx];
-                let bits = pending[s as usize];
-                pending[s as usize] = 0;
-                if bits == 0 {
-                    continue;
-                }
-                let succ = self.succ(s);
-                // Keep the ungoverned hot loop free of accounting, and
-                // charge governed runs one state at a time (its whole
-                // out-degree in one consult) rather than per edge — the
-                // per-edge branch costs real time at millions of
-                // expansions.
-                if governed {
-                    ticker.tick_n(succ.len() as u32)?;
-                }
-                for &s2 in succ {
-                    let add = bits & !visited[s2 as usize];
-                    if add != 0 {
-                        visited[s2 as usize] |= add;
-                        if pending[s2 as usize] == 0 {
-                            next.push(s2);
-                        }
-                        pending[s2 as usize] |= add;
-                    }
-                }
-            }
-            frontier.clear();
-            std::mem::swap(&mut frontier, &mut next);
-            // States fed new bits by a same-round neighbour after they
-            // were expanded land on `next`; states fed bits *before*
-            // their expansion already delivered them, and their zeroed
-            // pending word makes the `next` entry a no-op.
-        }
-        ticker.flush()?;
-        Ok(visited)
+        let mut sweep = Sweep::new(self.state_count());
+        sweep.run(&self.over(p), sources.iter().map(|v| v.0), ticker)?;
+        Ok(sweep.lanes.visited)
     }
 
-    /// Per-source end nodes from a sweep's bit-matrix: for each batch
-    /// source, the sorted, deduplicated nodes of reachable accepting
-    /// states — exactly [`crate::eval::Evaluator::ends_from`] of that
-    /// source.
-    pub fn batch_ends(
-        &self,
-        _p: &Product,
-        sources: &[NodeId],
-        visited: &[u64],
-    ) -> Vec<Vec<NodeId>> {
-        let mut per: Vec<Vec<NodeId>> = vec![Vec::new(); sources.len()];
-        // Walking accepting states in node order keeps each source's list
-        // sorted as it is built; duplicate nodes (several accepting
-        // states at one node) are adjacent, so a last-element check
-        // dedups without a sort.
-        for &(node, s) in &self.accepting_by_node {
-            let mut bits = visited[s as usize];
-            while bits != 0 {
-                let j = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if per[j].last() != Some(&node) {
-                    per[j].push(node);
-                }
-            }
+    /// The kernel as the sweep's transition source over `p`.
+    pub(crate) fn over<'a>(&'a self, p: &'a Product) -> ProductSteps<'a> {
+        ProductSteps {
+            kernel: self,
+            product: p,
         }
-        per
-    }
-
-    /// Fused pair extraction: appends `(source, end)` tuples for the
-    /// whole batch to `out`, grouped by source in batch order with each
-    /// group sorted — exactly the concatenation of
-    /// [`ReachKernel::batch_ends`], minus the intermediate allocations.
-    /// `scratch` is reused across batches (cleared here); bucket
-    /// capacity survives the clear, so a long-lived scratch settles into
-    /// allocation-free steady state.
-    pub fn append_batch_pairs(
-        &self,
-        sources: &[NodeId],
-        visited: &[u64],
-        scratch: &mut Vec<Vec<NodeId>>,
-        out: &mut Vec<(NodeId, NodeId)>,
-    ) {
-        // Upper bound on this batch's pair count (duplicates included).
-        let set_bits: usize = self
-            .accepting
-            .iter()
-            .map(|&s| visited[s as usize].count_ones() as usize)
-            .sum();
-        out.reserve(set_bits);
-        if set_bits * 4 >= sources.len() * self.accepting_by_node.len() {
-            // Dense batch: fold the accepting states' visited words into
-            // one mask per node (OR-merging handles nodes with several
-            // accepting states, so no dedup test remains), then scan
-            // source-major and append straight to the output — one tight
-            // pass over a ~node-count array that stays cache-resident
-            // across the 64 scans. No buckets, no copy.
-            let mut masks: Vec<(NodeId, u64)> = Vec::with_capacity(self.accepting_nodes);
-            for &(node, s) in &self.accepting_by_node {
-                let w = visited[s as usize];
-                match masks.last_mut() {
-                    Some(m) if m.0 == node => m.1 |= w,
-                    _ => masks.push((node, w)),
-                }
-            }
-            for (j, &v) in sources.iter().enumerate() {
-                for &(node, w) in &masks {
-                    if w >> j & 1 == 1 {
-                        out.push((v, node));
-                    }
-                }
-            }
-            return;
-        }
-        // Sparse batch: node-major bit iteration touches only set bits;
-        // reusable buckets regroup by source. Capacity grows amortized
-        // and survives `clear`, so a reused scratch never reallocates
-        // past its first batches, while a fresh one (governed or
-        // parallel callers) allocates only what its batch needs instead
-        // of the worst-case accepting-node count per bucket.
-        scratch.resize_with(sources.len().max(scratch.len()), Vec::new);
-        for bucket in scratch.iter_mut() {
-            bucket.clear();
-        }
-        for &(node, s) in &self.accepting_by_node {
-            let mut bits = visited[s as usize];
-            while bits != 0 {
-                let j = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if scratch[j].last() != Some(&node) {
-                    scratch[j].push(node);
-                }
-            }
-        }
-        for (j, &v) in sources.iter().enumerate() {
-            out.extend(scratch[j].iter().map(|&b| (v, b)));
-        }
-    }
-
-    /// Which batch sources reach any accepting state: bit `j` set ⇔
-    /// `sources[j]` starts a matching path.
-    pub fn batch_matches(&self, visited: &[u64]) -> u64 {
-        let mut matched = 0u64;
-        for &s in &self.accepting {
-            matched |= visited[s as usize];
-        }
-        matched
     }
 
     /// Bidirectional meet-in-the-middle reachability: true iff some
@@ -413,6 +274,304 @@ impl ReachKernel {
     }
 }
 
+/// The built product as a transition source: the product's initial
+/// states, the kernel's deduplicated successors. An expansion charges
+/// the state's out-degree.
+pub(crate) struct ProductSteps<'a> {
+    kernel: &'a ReachKernel,
+    product: &'a Product,
+}
+
+impl Transitions for ProductSteps<'_> {
+    fn state_count(&self) -> usize {
+        self.kernel.state_count()
+    }
+
+    fn starts(&self, v: u32, mut f: impl FnMut(u32)) {
+        self.product.initial(NodeId(v)).iter().for_each(|&s| f(s));
+    }
+
+    #[inline]
+    fn expand(
+        &self,
+        s: u32,
+        _buf: &mut Vec<u32>,
+        ticker: &mut Ticker<'_>,
+        mut f: impl FnMut(u32),
+    ) -> Result<(), Interrupt> {
+        let succ = self.kernel.succ(s);
+        ticker.tick_n(succ.len() as u32)?;
+        succ.iter().for_each(|&t| f(t));
+        Ok(())
+    }
+
+    fn accepting(&self, _reached: &[u32], mut f: impl FnMut(u32)) {
+        self.kernel.accepting.iter().for_each(|&s| f(s));
+    }
+
+    fn accepting_by_node(&self, _reached: &mut [u32], mut f: impl FnMut(u32, u32)) {
+        for &(node, s) in &self.kernel.accepting_by_node {
+            f(node.0, s);
+        }
+    }
+}
+
+/// The lane masks and the round's queue.
+struct Lanes {
+    /// One lane mask per state.
+    visited: Vec<u64>,
+    /// One bit per state: waiting on `next` or the frontier.
+    queued: Vec<u64>,
+    /// States with a non-zero mask, for clearing and extraction.
+    touched: Vec<u32>,
+    /// States to expand next round.
+    next: Vec<u32>,
+}
+
+impl Lanes {
+    /// ORs `bits` into state `t`'s mask and queues `t` if a bit is new
+    /// and `t` is not already waiting.
+    #[inline]
+    fn feed(&mut self, t: u32, bits: u64) {
+        let i = t as usize;
+        let add = bits & !self.visited[i];
+        if add == 0 {
+            return;
+        }
+        if self.visited[i] == 0 {
+            self.touched.push(t);
+        }
+        self.visited[i] |= add;
+        if self.queued[i / 64] >> (i % 64) & 1 == 0 {
+            self.queued[i / 64] |= 1 << (i % 64);
+            self.next.push(t);
+        }
+    }
+}
+
+/// One part's reusable sweep: the lane masks, the frontier, and the
+/// extraction scratch of the batch swept last.
+pub(crate) struct Sweep {
+    lanes: Lanes,
+    frontier: Vec<u32>,
+    /// Decode scratch for [`Transitions::expand`].
+    buf: Vec<u32>,
+    /// First source of the batch.
+    s0: u32,
+    /// Sources in the batch.
+    width: usize,
+    /// One OR-merged lane mask per node with a reached accepting state.
+    masks: Vec<(u32, u64)>,
+}
+
+impl Sweep {
+    fn new(states: usize) -> Sweep {
+        Sweep {
+            lanes: Lanes {
+                visited: vec![0; states],
+                queued: vec![0; states.div_ceil(64)],
+                touched: Vec::new(),
+                next: Vec::new(),
+            },
+            frontier: Vec::new(),
+            buf: Vec::new(),
+            s0: 0,
+            width: 0,
+            masks: Vec::new(),
+        }
+    }
+
+    /// Sweeps one batch, lane `j` seeded from the `j`-th source. The
+    /// previous batch's marks are cleared first through its touched list
+    /// (a memset once it covers an eighth of the states), so a sparse
+    /// sweep never pays a `states`-sized clear. A trip aborts the sweep.
+    fn run<S: Transitions>(
+        &mut self,
+        src: &S,
+        sources: impl Iterator<Item = u32>,
+        ticker: &mut Ticker<'_>,
+    ) -> Result<(), Interrupt> {
+        let lanes = &mut self.lanes;
+        if lanes.touched.len() < lanes.visited.len() / 8 {
+            for &t in &lanes.touched {
+                lanes.visited[t as usize] = 0;
+                lanes.queued[t as usize / 64] = 0;
+            }
+        } else {
+            lanes.visited.fill(0);
+            lanes.queued.fill(0);
+        }
+        lanes.touched.clear();
+        lanes.next.clear();
+        for (j, v) in sources.enumerate() {
+            src.starts(v, |s| lanes.feed(s, 1 << j));
+        }
+        while !self.lanes.next.is_empty() {
+            std::mem::swap(&mut self.frontier, &mut self.lanes.next);
+            for &s in &self.frontier {
+                let lanes = &mut self.lanes;
+                let i = s as usize;
+                lanes.queued[i / 64] &= !(1 << (i % 64));
+                let bits = lanes.visited[i];
+                src.expand(s, &mut self.buf, ticker, |t| lanes.feed(t, bits))?;
+            }
+            self.frontier.clear();
+        }
+        ticker.flush()
+    }
+
+    /// Appends the batch's `(source, target)` pairs, sources ascending,
+    /// then targets ascending. A dense batch scans its node masks once
+    /// per lane; a sparse one scatters set bits into per-lane slots.
+    pub(crate) fn pairs_into<T: Clone>(
+        &mut self,
+        src: &impl Transitions,
+        out: &mut Vec<T>,
+        pair: impl Fn(u32, u32) -> T,
+    ) {
+        let (visited, masks) = (&self.lanes.visited, &mut self.masks);
+        masks.clear();
+        let mut accepting = 0;
+        src.accepting_by_node(&mut self.lanes.touched, |node, s| {
+            accepting += 1;
+            let w = visited[s as usize];
+            if w == 0 {
+                return;
+            }
+            match masks.last_mut() {
+                Some(m) if m.0 == node => m.1 |= w,
+                _ => masks.push((node, w)),
+            }
+        });
+        let total: usize = masks.iter().map(|m| m.1.count_ones() as usize).sum();
+        out.reserve(total);
+        let s0 = self.s0;
+        if total * 4 >= self.width * accepting {
+            for j in 0..self.width {
+                for &(node, w) in masks.iter() {
+                    if w >> j & 1 == 1 {
+                        out.push(pair(s0 + j as u32, node));
+                    }
+                }
+            }
+            return;
+        }
+        // Sparse: count each lane's targets, then scatter every set bit
+        // straight to its slot in the output.
+        let mut at = [0usize; BATCH];
+        for &(_, w) in masks.iter() {
+            let mut m = w;
+            while m != 0 {
+                at[m.trailing_zeros() as usize] += 1;
+                m &= m - 1;
+            }
+        }
+        let mut end = out.len();
+        for slot in &mut at[..self.width] {
+            (*slot, end) = (end, end + *slot);
+        }
+        out.resize(end, pair(s0, 0));
+        for &(node, w) in masks.iter() {
+            let mut m = w;
+            while m != 0 {
+                let j = m.trailing_zeros() as usize;
+                out[at[j]] = pair(s0 + j as u32, node);
+                at[j] += 1;
+                m &= m - 1;
+            }
+        }
+    }
+
+    /// Appends the batch's sources that reach an accepting state,
+    /// ascending.
+    pub(crate) fn starts_into<T>(
+        &self,
+        src: &impl Transitions,
+        out: &mut Vec<T>,
+        start: impl Fn(u32) -> T,
+    ) {
+        let mut m = 0u64;
+        src.accepting(&self.lanes.touched, |s| m |= self.lanes.visited[s as usize]);
+        while m != 0 {
+            out.push(start(self.s0 + m.trailing_zeros()));
+            m &= m - 1;
+        }
+    }
+}
+
+/// The one multi-source scan: sweeps `sources` in [`BATCH`]-lane batches
+/// as `parts` [`partitioned`] parts of contiguous batches, and lets
+/// `emit` append each swept batch's answers, in source order at every
+/// thread count.
+///
+/// With `None` no accounting runs at all. Under a governor each part
+/// holds its sweep against the memory budget (the matrix up front, the
+/// touched list at its high-water mark), expansions tick the step
+/// budget, and merged answers are admitted to the result budget: a trip
+/// inside a sweep drops that batch, so the answer is an exact prefix of
+/// the full one. A part stops early once it holds more answers than the
+/// result budget could ever admit.
+pub(crate) fn scan<S: Transitions, T: Send>(
+    src: &S,
+    sources: Range<u32>,
+    parts: usize,
+    gov: Option<&Governor>,
+    emit: impl Fn(&mut Sweep, &S, &mut Vec<T>) + Sync,
+) -> Result<Governed<Vec<T>>, EvalError> {
+    let states = src.state_count();
+    let cap = gov.map_or(u64::MAX, Governor::result_limit);
+    // A sweep outlives its part, so a later part reuses the matrix an
+    // earlier one cleared; once no part is left to start, a finished
+    // part frees its sweep instead of holding it through the merge.
+    // Every push and pop leaves the pool valid, so a poisoned lock is
+    // recovered; the counter is only a hint (the mutex hands the sweeps
+    // over), so a stale read at worst keeps one sweep too long.
+    let pool = Mutex::new(Vec::new());
+    let pool = || pool.lock().unwrap_or_else(PoisonError::into_inner);
+    let nb = sources.len().div_ceil(BATCH);
+    let unstarted = AtomicUsize::new(parts.max(1).min(nb));
+    partitioned(nb, parts, gov, gov.is_some(), |batches, out| {
+        unstarted.fetch_sub(1, Ordering::Relaxed);
+        // Record bytes before charging them: the ledger counts a charge
+        // even when it trips, and the release must match either way.
+        let mut held = 0u64;
+        let mut charge = |bytes: u64| {
+            held += bytes;
+            gov.map_or(Ok(()), |g| g.charge_memory(bytes))
+        };
+        let swept = charge(sweep_bytes(states as u64)).and_then(|()| {
+            let mut sweep = pool().pop().unwrap_or_else(|| Sweep::new(states));
+            let mut ticker = Ticker::maybe(gov);
+            let mut touched_hw = 0;
+            for b in batches {
+                if out.len() as u64 > cap {
+                    break;
+                }
+                sweep.s0 = sources.start + (b * BATCH) as u32;
+                let s1 = sources.end.min(sweep.s0 + BATCH as u32);
+                sweep.width = (s1 - sweep.s0) as usize;
+                sweep.run(src, sweep.s0..s1, &mut ticker)?;
+                // The touched list is reused scratch: its footprint is
+                // the peak across batches, not the sum.
+                let bytes = sweep.lanes.touched.len() as u64 * 8;
+                if bytes > touched_hw {
+                    charge(bytes - touched_hw)?;
+                    touched_hw = bytes;
+                }
+                emit(&mut sweep, src, out);
+            }
+            if unstarted.load(Ordering::Relaxed) > 0 {
+                pool().push(sweep);
+            }
+            Ok(())
+        });
+        if let Some(g) = gov {
+            g.release_memory(held);
+        }
+        swept
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,6 +588,16 @@ mod tests {
         (Evaluator::new(&view, &e), n)
     }
 
+    /// The scan over one batch of every source.
+    fn one_batch<T: Send>(
+        ev: &Evaluator,
+        n: usize,
+        emit: impl Fn(&mut Sweep, &ProductSteps<'_>, &mut Vec<T>) + Sync,
+    ) -> Vec<T> {
+        let src = ev.kernel().over(ev.product());
+        crate::parallel::ungoverned(scan(&src, 0..n as u32, 1, None, emit))
+    }
+
     #[test]
     fn sweep_matches_per_source_bfs() {
         for expr in [
@@ -437,27 +606,25 @@ mod tests {
             "?person/rides/?bus/rides^-/?infected",
         ] {
             let (ev, n) = eval(expr);
-            let kernel = ReachKernel::build(ev.product());
-            let sources: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-            let visited = kernel.sweep(ev.product(), &sources);
-            let ends = kernel.batch_ends(ev.product(), &sources, &visited);
-            for (j, &v) in sources.iter().enumerate() {
-                assert_eq!(ends[j], ev.ends_from(v), "expr {expr} source {v:?}");
-            }
+            let pairs = one_batch(&ev, n, |s, src, out| {
+                s.pairs_into(src, out, |a, b| (NodeId(a), NodeId(b)))
+            });
+            let expect: Vec<(NodeId, NodeId)> = (0..n as u32)
+                .flat_map(|a| {
+                    ev.ends_from(NodeId(a))
+                        .into_iter()
+                        .map(move |b| (NodeId(a), b))
+                })
+                .collect();
+            assert_eq!(pairs, expect, "expr {expr}");
         }
     }
 
     #[test]
     fn batch_matches_flags_exactly_the_matching_starts() {
         let (ev, n) = eval("?person/rides/?bus/rides^-/?infected");
-        let kernel = ReachKernel::build(ev.product());
-        let sources: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-        let visited = kernel.sweep(ev.product(), &sources);
-        let matched = kernel.batch_matches(&visited);
-        let expect = ev.matching_starts_sequential();
-        for (j, &v) in sources.iter().enumerate() {
-            assert_eq!(matched >> j & 1 == 1, expect.contains(&v));
-        }
+        let starts = one_batch(&ev, n, |s, src, out| s.starts_into(src, out, NodeId));
+        assert_eq!(starts, ev.matching_starts_sequential());
     }
 
     #[test]
@@ -485,7 +652,7 @@ mod tests {
         let sources: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
         let gov = Governor::unlimited();
         let governed = kernel.sweep_governed(ev.product(), &sources, &gov).unwrap();
-        kernel.release_sweep(&gov);
         assert_eq!(governed, kernel.sweep(ev.product(), &sources));
+        assert_eq!(gov.memory_used(), 0, "the sweep's matrix is released");
     }
 }

@@ -46,7 +46,7 @@
 use crate::automata::{MinimizedNfa, Nfa, NfaSignature};
 use crate::eval::Evaluator;
 use crate::expr::PathExpr;
-use crate::govern::{fault_point, isolate, EvalError, Governor, Interrupt};
+use crate::govern::{fault_point, isolate, EvalError, Governor};
 use crate::model::PathGraph;
 use crate::product::Product;
 use crate::simplify::simplify;
@@ -60,40 +60,25 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 64;
 pub const CACHE_CAP_ENV: &str = "KGQ_CACHE_CAP";
 
 /// A query compiled against a specific graph generation: the canonical
-/// expression, its NFA, and the (shared) graph × NFA product.
+/// expression, its NFA, and the evaluator over the (shared) graph × NFA
+/// product, whose reachability kernel is built on first scan and then
+/// served to every later hit.
 pub struct CompiledQuery {
     expr: PathExpr,
     nfa: Nfa,
-    product: Arc<Product>,
+    evaluator: Evaluator,
 }
 
 impl std::fmt::Debug for CompiledQuery {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledQuery")
             .field("expr", &self.expr)
-            .field("product_states", &self.product.state_count())
+            .field("product_states", &self.evaluator.product().state_count())
             .finish_non_exhaustive()
     }
 }
 
 impl CompiledQuery {
-    fn compile<G: PathGraph>(g: &G, expr: PathExpr, min: MinimizedNfa) -> CompiledQuery {
-        let nfa = min.nfa;
-        let product = Arc::new(Product::build(g, &nfa));
-        CompiledQuery { expr, nfa, product }
-    }
-
-    fn compile_governed<G: PathGraph>(
-        g: &G,
-        expr: PathExpr,
-        min: MinimizedNfa,
-        gov: &Governor,
-    ) -> Result<CompiledQuery, Interrupt> {
-        let nfa = min.nfa;
-        let product = Arc::new(Product::build_governed(g, &nfa, gov)?);
-        Ok(CompiledQuery { expr, nfa, product })
-    }
-
     /// The canonicalized expression this entry was compiled from.
     pub fn expr(&self) -> &PathExpr {
         &self.expr
@@ -106,12 +91,12 @@ impl CompiledQuery {
 
     /// The shared graph × NFA product.
     pub fn product(&self) -> &Arc<Product> {
-        &self.product
+        self.evaluator.shared_product()
     }
 
-    /// An evaluator over the cached product (no rebuild).
-    pub fn evaluator(&self) -> Evaluator {
-        Evaluator::from_product(Arc::clone(&self.product))
+    /// The cached evaluator (no rebuild of the product or the kernel).
+    pub fn evaluator(&self) -> &Evaluator {
+        &self.evaluator
     }
 }
 
@@ -264,17 +249,11 @@ impl QueryCache {
         generation: u64,
         expr: &PathExpr,
     ) -> Arc<CompiledQuery> {
-        let expr = simplify(expr);
-        let min = Nfa::compile_min(&expr);
-        let key = CacheKey {
-            generation,
-            sig: min.signature.clone(),
-        };
-        if let Some(compiled) = self.lookup(&key) {
-            return compiled;
+        match self.get_or_compile_governed(g, generation, expr, &Governor::unlimited()) {
+            Ok(compiled) => compiled,
+            Err(EvalError::Panic(msg)) => panic!("{msg}"),
+            Err(e) => unreachable!("unlimited compile interrupted: {e}"),
         }
-        let compiled = Arc::new(CompiledQuery::compile(g, expr, min));
-        self.insert_if_absent(key, compiled)
     }
 
     /// Governed [`QueryCache::get_or_compile`]: compilation runs under
@@ -291,19 +270,27 @@ impl QueryCache {
         gov: &Governor,
     ) -> Result<Arc<CompiledQuery>, EvalError> {
         let expr = simplify(expr);
-        let min = Nfa::compile_min(&expr);
+        let MinimizedNfa { nfa, signature, .. } = Nfa::compile_min(&expr);
         let key = CacheKey {
             generation,
-            sig: min.signature.clone(),
+            sig: signature,
         };
         if let Some(compiled) = self.lookup(&key) {
             return Ok(compiled);
         }
-        let compiled = Arc::new(isolate(|| {
+        let product = isolate(|| {
             fault_point!("cache::compile");
-            CompiledQuery::compile_governed(g, expr, min, gov)
-        })?);
-        Ok(self.insert_if_absent(key, compiled))
+            Product::build_governed(g, &nfa, gov)
+        })?;
+        let evaluator = Evaluator::from_product(Arc::new(product));
+        Ok(self.insert_if_absent(
+            key,
+            Arc::new(CompiledQuery {
+                expr,
+                nfa,
+                evaluator,
+            }),
+        ))
     }
 
     /// The lookup half: under the lock, touch + count a hit, or count a
@@ -440,6 +427,7 @@ impl QueryCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::govern::Interrupt;
     use crate::model::LabeledView;
     use crate::parser::parse_expr;
     use kgq_graph::generate::gnm_labeled;
@@ -463,6 +451,22 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         // Same Arc: the product was not rebuilt.
         assert!(Arc::ptr_eq(c1.product(), c2.product()));
+    }
+
+    #[test]
+    fn hits_share_one_kernel() {
+        let (g, e1, _) = setup();
+        let view = LabeledView::new(&g);
+        let cache = QueryCache::new();
+        cache.get_or_compile(&view, 0, &e1).evaluator().pairs();
+        let c1 = cache.get_or_compile(&view, 0, &e1);
+        let c2 = cache.get_or_compile(&view, 0, &e1);
+        assert_eq!((cache.hits(), cache.misses()), (2, 1));
+        // The kernel the first scan built is the one both hits serve.
+        assert!(std::ptr::eq(
+            c1.evaluator().kernel(),
+            c2.evaluator().kernel()
+        ));
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! existence — not counting — is asked).
 //!
 //! Multi-source scans ([`Evaluator::pairs`], [`Evaluator::matching_starts`])
-//! run on the bit-parallel [`ReachKernel`]: each pass advances 64 BFS
-//! sources at once (see [`crate::bitkernel`]), and batches fan out across
-//! threads (see [`crate::parallel`]). Batch results are concatenated in
+//! run the bit-parallel sweep over the [`ReachKernel`]: each pass advances
+//! 64 BFS sources at once (see [`crate::bitkernel`]), and batches fan out
+//! across threads (see [`crate::parallel`]). Batch results are concatenated in
 //! source order, so the output is byte-identical to the per-source
 //! sequential references ([`Evaluator::pairs_sequential`],
 //! [`Evaluator::matching_starts_sequential`]) regardless of thread count.
@@ -24,16 +24,16 @@
 //! the product every scan runs over.
 
 use crate::automata::Nfa;
-use crate::bitkernel::{ReachKernel, BATCH};
+use crate::bitkernel::{self, ProductSteps, ReachKernel, Sweep, BATCH};
 use crate::expr::PathExpr;
 use crate::govern::{fault_point, EvalError, Governed, Governor};
 use crate::model::PathGraph;
-use crate::parallel::{partitioned, ungoverned};
+use crate::parallel::ungoverned;
 use crate::path::Path;
 use crate::product::{PState, Product};
 use kgq_graph::{EdgeId, NodeId};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 /// Compiled evaluator for one expression over one graph.
 ///
@@ -64,6 +64,11 @@ impl Evaluator {
 
     /// Access to the underlying product automaton.
     pub fn product(&self) -> &Product {
+        &self.product
+    }
+
+    /// The product as shared with a [`crate::cache::QueryCache`] entry.
+    pub(crate) fn shared_product(&self) -> &Arc<Product> {
         &self.product
     }
 
@@ -121,11 +126,11 @@ impl Evaluator {
 
     /// All `(start, end)` pairs connected by a matching path.
     ///
-    /// Runs on the bit-parallel kernel: 64 sources per sweep, sweeps
+    /// Runs on the bit-parallel sweep: 64 sources per pass, passes
     /// fanned out across threads when available. The result is identical
     /// to [`Evaluator::pairs_sequential`] for every thread count.
     pub fn pairs(&self) -> Vec<(NodeId, NodeId)> {
-        ungoverned(self.scan(None, ReachKernel::append_batch_pairs))
+        ungoverned(self.scan(None, emit_pairs))
     }
 
     /// Governed [`Evaluator::pairs`]: every 64-source sweep runs under
@@ -139,15 +144,15 @@ impl Evaluator {
         &self,
         gov: &Governor,
     ) -> Result<Governed<Vec<(NodeId, NodeId)>>, EvalError> {
-        self.scan(Some(gov), ReachKernel::append_batch_pairs)
+        self.scan(Some(gov), emit_pairs)
     }
 
     /// Node extraction (§4.3): all nodes that *start* a matching path.
     ///
-    /// Runs on the bit-parallel kernel, with output identical to
+    /// Runs on the bit-parallel sweep, with output identical to
     /// [`Evaluator::matching_starts_sequential`].
     pub fn matching_starts(&self) -> Vec<NodeId> {
-        ungoverned(self.scan(None, append_batch_starts))
+        ungoverned(self.scan(None, emit_starts))
     }
 
     /// Governed [`Evaluator::matching_starts`]; same partial-prefix
@@ -156,46 +161,31 @@ impl Evaluator {
         &self,
         gov: &Governor,
     ) -> Result<Governed<Vec<NodeId>>, EvalError> {
-        self.scan(Some(gov), append_batch_starts)
+        self.scan(Some(gov), emit_starts)
     }
 
-    /// The one multi-source scan: one [`partitioned`] part per
-    /// [`BATCH`]-sized chunk of the node range, each sweeping its batch
-    /// and letting `emit` append that batch's answers, in source order at
-    /// every thread count. Under a governor each batch is budgeted and
-    /// the answer is an exact prefix of the full one, with merged answers
-    /// admitted to the result budget. With `None` no accounting runs at
-    /// all.
+    /// The product route of [`bitkernel::scan`]: one part per
+    /// [`BATCH`]-sized chunk of the node range, so under a governor each
+    /// batch's answers are admitted as it lands.
     fn scan<T: Send>(
         &self,
         gov: Option<&Governor>,
-        emit: impl Fn(&ReachKernel, &[NodeId], &[u64], &mut Vec<Vec<NodeId>>, &mut Vec<T>) + Sync,
+        emit: impl Fn(&mut Sweep, &ProductSteps<'_>, &mut Vec<T>) + Sync,
     ) -> Result<Governed<Vec<T>>, EvalError> {
-        let kernel = self.kernel();
-        let nodes: Vec<NodeId> = (0..self.product.node_count() as u32).map(NodeId).collect();
-        let nb = nodes.len().div_ceil(BATCH);
-        // Bucket scratch outlives its batch, so the sequential scan reuses
-        // the capacity earlier batches grew (every push and pop leaves the
-        // pool valid, so a poisoned lock is recovered).
-        let buckets = Mutex::new(Vec::new());
-        let pool = || buckets.lock().unwrap_or_else(PoisonError::into_inner);
-        partitioned(nb, nb, gov, gov.is_some(), |batch, out| {
-            let chunk = &nodes[batch.start * BATCH..(batch.end * BATCH).min(nodes.len())];
-            let visited = match gov {
-                None => kernel.sweep(&self.product, chunk),
-                Some(gov) => {
+        let n = self.product.node_count();
+        let src = self.kernel().over(&self.product);
+        bitkernel::scan(
+            &src,
+            0..n as u32,
+            n.div_ceil(BATCH),
+            gov,
+            |sweep, src, out| {
+                if gov.is_some() {
                     fault_point!("eval::bfs");
-                    kernel.sweep_governed(&self.product, chunk, gov)?
                 }
-            };
-            let mut scratch = pool().pop().unwrap_or_default();
-            emit(kernel, chunk, &visited, &mut scratch, out);
-            pool().push(scratch);
-            if let Some(gov) = gov {
-                kernel.release_sweep(gov);
-            }
-            Ok(())
-        })
+                emit(sweep, src, out)
+            },
+        )
     }
 
     /// Single-threaded [`Evaluator::pairs`] (reference implementation).
@@ -381,22 +371,12 @@ impl Evaluator {
     }
 }
 
-/// Appends the sources of one swept batch that start a matching path.
-fn append_batch_starts(
-    kernel: &ReachKernel,
-    chunk: &[NodeId],
-    visited: &[u64],
-    _scratch: &mut Vec<Vec<NodeId>>,
-    out: &mut Vec<NodeId>,
-) {
-    let matched = kernel.batch_matches(visited);
-    out.extend(
-        chunk
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| matched >> j & 1 == 1)
-            .map(|(_, &v)| v),
-    );
+fn emit_pairs(sweep: &mut Sweep, src: &ProductSteps<'_>, out: &mut Vec<(NodeId, NodeId)>) {
+    sweep.pairs_into(src, out, |a, b| (NodeId(a), NodeId(b)));
+}
+
+fn emit_starts(sweep: &mut Sweep, src: &ProductSteps<'_>, out: &mut Vec<NodeId>) {
+    sweep.starts_into(src, out, NodeId);
 }
 
 /// All matching paths from `a` to `b` of length at most `max_len`,

@@ -374,6 +374,12 @@ impl Governor {
         self.max_steps
     }
 
+    /// The result budget this governor enforces (`u64::MAX` when
+    /// unlimited).
+    pub(crate) fn result_limit(&self) -> u64 {
+        self.max_results
+    }
+
     /// Steps charged so far.
     pub fn steps_used(&self) -> u64 {
         self.steps.load(Ordering::Relaxed)

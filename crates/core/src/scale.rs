@@ -12,26 +12,18 @@
 //! * the expression compiles to a tiny [`LabelDfa`] (the minimized
 //!   automaton of [`crate::automata`], restricted to label letters and
 //!   flattened over its ε-closures);
-//! * product states are **implicit** — `state = v · |Q| + q` — so the
-//!   only per-sweep allocation is a `|V| · |Q|` bitmask matrix, reused
-//!   across batches with touched-list clearing;
+//! * product states are **implicit** — `state = v · |Q| + q` — and
+//!   are swept by the one 64-lane sweep of [`crate::bitkernel`], the
+//!   same loop, extraction and accounting the product route runs on;
 //! * adjacency is abstracted by [`LabelAdjacency`], with adapters for
 //!   the raw [`LabelIndex`] and the bit-packed [`PackedView`] — the
 //!   "slice or iterate" seam: one decode per `(node, label)` expansion
 //!   feeds all 64 source lanes of the batch, which is what amortizes
 //!   packed-decode cost to ≈ the raw slice walk;
 //! * evaluation is sharded by source range into 64-lane batches, run as
-//!   [`crate::parallel::partitioned`] parts of contiguous batches (one
-//!   sweep matrix per part) and concatenated in batch order, so output
-//!   is byte-identical at any `chunks`/thread count;
-//! * governance: the sweep matrix is charged to the governor's memory
-//!   budget up front per worker (released after), expansions tick the
-//!   step budget, result extraction charges per pair and truncates to
-//!   an exact prefix, and scratch growth is charged at its **high-water
-//!   mark** (the worklists are reused between batches, so their
-//!   footprint is the peak, not the per-batch sum) — a tripped batch is
-//!   dropped whole so the returned prefix always ends on a batch
-//!   boundary.
+//!   `chunks` parts of contiguous batches (one sweep matrix per part)
+//!   and concatenated in batch order, so output is byte-identical at any
+//!   `chunks`/thread count, and a governed answer is an exact prefix.
 //!
 //! The wedge-closing triangle count ([`triangle_count`]) reuses the
 //! same adjacency seam with the packed skip-table point probes
@@ -39,6 +31,7 @@
 //! intersection primitive.
 
 use crate::automata::{Nfa, Trans};
+use crate::bitkernel::{self, Sweep, Transitions};
 use crate::expr::{PathExpr, Test};
 use crate::govern::{EvalError, Governed, Governor, Interrupt, Ticker};
 use crate::parallel::{partitioned, ungoverned};
@@ -50,9 +43,6 @@ use std::ops::Range;
 /// Cap on label-DFA states: keeps the implicit-state index `v·|Q| + q`
 /// inside `u32` for any `u32` node count and bounds the sweep matrix.
 pub const MAX_SCALE_STATES: usize = 64;
-
-/// Sources advanced per sweep (one bitmask lane each).
-pub const BATCH: usize = 64;
 
 /// Why an expression cannot take the scale path.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -187,10 +177,9 @@ impl LabelDfa {
 
     /// Bytes one sweep worker allocates for `n` nodes: the visited
     /// bitmask matrix plus the queued bitset. This is what
-    /// [`ScaleEvaluator::pairs_governed`] charges per worker.
+    /// [`ScaleEvaluator::pairs_governed`] charges per worker up front.
     pub fn sweep_bytes(&self, n: u32) -> u64 {
-        let states = n as u64 * self.nq as u64;
-        states * 8 + states.div_ceil(64) * 8
+        bitkernel::sweep_bytes(n as u64 * self.nq as u64)
     }
 }
 
@@ -279,168 +268,60 @@ impl LabelAdjacency for PackedAdjacency<'_> {
     }
 }
 
-/// Reusable per-worker sweep state: the full `|V|·|Q|` bitmask matrix
-/// plus worklists, cleared between batches via the touched list (so a
-/// sparse sweep never pays an O(|V|·|Q|) memset).
-struct Sweep {
-    nq: u32,
-    visited: Vec<u64>,
-    queued: Vec<u64>,
-    touched: Vec<u32>,
-    frontier: Vec<u32>,
-    next: Vec<u32>,
-    buf: Vec<u32>,
+/// A label automaton's implicit product over an adjacency: state
+/// `v·|Q| + q`, nothing built. An expansion decodes each `(node, label)`
+/// run once for all 64 lanes and charges its neighbours + 1.
+struct Implicit<'a, A> {
+    adj: &'a A,
+    dfa: &'a LabelDfa,
 }
 
-impl Sweep {
-    fn new(n: u32, nq: u32) -> Sweep {
-        let states = n as usize * nq as usize;
-        Sweep {
-            nq,
-            visited: vec![0u64; states],
-            queued: vec![0u64; states.div_ceil(64)],
-            touched: Vec::new(),
-            frontier: Vec::new(),
-            next: Vec::new(),
-            buf: Vec::new(),
-        }
+impl<A: LabelAdjacency> Transitions for Implicit<'_, A> {
+    fn state_count(&self) -> usize {
+        self.adj.node_count() as usize * self.dfa.nq as usize
+    }
+
+    fn starts(&self, v: u32, mut f: impl FnMut(u32)) {
+        f(v * self.dfa.nq + self.dfa.start);
     }
 
     #[inline]
-    fn enqueue(&mut self, idx: u32) {
-        let (w, b) = ((idx / 64) as usize, idx % 64);
-        if self.queued[w] & (1 << b) == 0 {
-            self.queued[w] |= 1 << b;
-            self.next.push(idx);
-        }
-    }
-
-    fn clear(&mut self) {
-        for &idx in &self.touched {
-            self.visited[idx as usize] = 0;
-        }
-        self.touched.clear();
-        self.frontier.clear();
-        self.next.clear();
-    }
-
-    /// Runs one 64-lane sweep from sources `[s0, s1)`. Ticks `ticker`
-    /// per expanded edge; a trip aborts the sweep (the caller drops the
-    /// batch, keeping results an exact batch-boundary prefix).
-    fn run<A: LabelAdjacency>(
-        &mut self,
-        adj: &A,
-        dfa: &LabelDfa,
-        s0: u32,
-        s1: u32,
+    fn expand(
+        &self,
+        s: u32,
+        buf: &mut Vec<u32>,
         ticker: &mut Ticker<'_>,
+        mut f: impl FnMut(u32),
     ) -> Result<(), Interrupt> {
-        self.clear();
-        let nq = self.nq;
-        for (lane, v) in (s0..s1).enumerate() {
-            let idx = v * nq + dfa.start;
-            if self.visited[idx as usize] == 0 {
-                self.touched.push(idx);
+        let nq = self.dfa.nq;
+        let (v, q) = (s / nq, s % nq);
+        for &(l, fwd, q2) in &self.dfa.step[q as usize] {
+            buf.clear();
+            if fwd {
+                self.adj.out_into(v, l, buf);
+            } else {
+                self.adj.in_into(v, l, buf);
             }
-            self.visited[idx as usize] |= 1u64 << lane;
-            self.enqueue(idx);
-        }
-        while !self.next.is_empty() {
-            std::mem::swap(&mut self.frontier, &mut self.next);
-            for i in 0..self.frontier.len() {
-                let idx = self.frontier[i];
-                self.queued[(idx / 64) as usize] &= !(1 << (idx % 64));
-            }
-            for i in 0..self.frontier.len() {
-                let idx = self.frontier[i];
-                let mask = self.visited[idx as usize];
-                let (v, q) = (idx / nq, idx % nq);
-                for t in 0..dfa.step[q as usize].len() {
-                    let (l, fwd, q2) = dfa.step[q as usize][t];
-                    self.buf.clear();
-                    if fwd {
-                        adj.out_into(v, l, &mut self.buf);
-                    } else {
-                        adj.in_into(v, l, &mut self.buf);
-                    }
-                    ticker.tick_n(self.buf.len() as u32 + 1)?;
-                    for k in 0..self.buf.len() {
-                        let w = self.buf[k];
-                        let j = w * nq + q2;
-                        let old = self.visited[j as usize];
-                        let new = old | mask;
-                        if new != old {
-                            if old == 0 {
-                                self.touched.push(j);
-                            }
-                            self.visited[j as usize] = new;
-                            self.enqueue(j);
-                        }
-                    }
-                }
-            }
-            self.frontier.clear();
+            ticker.tick_n(buf.len() as u32 + 1)?;
+            buf.iter().for_each(|&w| f(w * nq + q2));
         }
         Ok(())
     }
 
-    /// Extracts the batch's `(source, target)` pairs in lane-major,
-    /// target-ascending order, charging each to `gov`'s result budget;
-    /// emission stops exactly at the first refusal.
-    fn extract_pairs(
-        &mut self,
-        dfa: &LabelDfa,
-        s0: u32,
-        lanes: u32,
-        out: &mut Vec<(u32, u32)>,
-        gov: &Governor,
-    ) -> Result<(), Interrupt> {
-        self.touched.sort_unstable();
-        let nq = self.nq;
-        // Per-lane target lists; touched is sorted by v·|Q|+q so each
-        // lane's targets come out ascending, deduped across accepting
-        // states of the same node.
-        let mut per_lane: Vec<Vec<u32>> = vec![Vec::new(); lanes as usize];
-        for &idx in &self.touched {
-            let (v, q) = (idx / nq, idx % nq);
-            if !dfa.accepting[q as usize] {
-                continue;
-            }
-            let mask = self.visited[idx as usize];
-            let mut m = mask;
-            while m != 0 {
-                let lane = m.trailing_zeros() as usize;
-                m &= m - 1;
-                if lane < lanes as usize {
-                    let list = &mut per_lane[lane];
-                    if list.last() != Some(&v) {
-                        list.push(v);
-                    }
-                }
-            }
+    fn accepting(&self, reached: &[u32], mut f: impl FnMut(u32)) {
+        let nq = self.dfa.nq;
+        for &s in reached
+            .iter()
+            .filter(|&&s| self.dfa.accepting[(s % nq) as usize])
+        {
+            f(s);
         }
-        for (lane, targets) in per_lane.into_iter().enumerate() {
-            for v in targets {
-                gov.charge_results(1)?;
-                out.push((s0 + lane as u32, v));
-            }
-        }
-        Ok(())
     }
 
-    /// Lanes (relative to `s0`) whose source matches the expression.
-    fn extract_starts(&mut self, dfa: &LabelDfa, lanes: u32) -> u64 {
-        let nq = self.nq;
-        let mut matched = 0u64;
-        for &idx in &self.touched {
-            if dfa.accepting[(idx % nq) as usize] {
-                matched |= self.visited[idx as usize];
-            }
-        }
-        if lanes < 64 {
-            matched &= (1u64 << lanes) - 1;
-        }
-        matched
+    fn accepting_by_node(&self, reached: &mut [u32], mut f: impl FnMut(u32, u32)) {
+        // `v·|Q| + q` ascends with the node.
+        reached.sort_unstable();
+        self.accepting(reached, |s| f(s / self.dfa.nq, s));
     }
 }
 
@@ -465,7 +346,7 @@ impl<'a, A: LabelAdjacency> ScaleEvaluator<'a, A> {
     /// in 64-lane batches over `chunks` workers. Output is concatenated
     /// in batch order: byte-identical for every `chunks` value.
     pub fn pairs(&self, sources: Range<u32>, chunks: usize) -> Vec<(u32, u32)> {
-        ungoverned(self.pairs_governed(sources, chunks, &Governor::unlimited()))
+        ungoverned(self.scan(sources, chunks, None, pairs_of))
     }
 
     /// Governed [`ScaleEvaluator::pairs`]: exact-prefix results, with
@@ -476,14 +357,12 @@ impl<'a, A: LabelAdjacency> ScaleEvaluator<'a, A> {
         chunks: usize,
         gov: &Governor,
     ) -> Result<Governed<Vec<(u32, u32)>>, EvalError> {
-        self.sweep_parts(sources, chunks, gov, |sweep, s0, lanes, out| {
-            sweep.extract_pairs(&self.dfa, s0, lanes, out, gov)
-        })
+        self.scan(sources, chunks, Some(gov), pairs_of)
     }
 
     /// Sources in `sources` that start at least one matching path.
     pub fn matching_starts(&self, sources: Range<u32>, chunks: usize) -> Vec<u32> {
-        ungoverned(self.matching_starts_governed(sources, chunks, &Governor::unlimited()))
+        ungoverned(self.scan(sources, chunks, None, starts_of))
     }
 
     /// Governed [`ScaleEvaluator::matching_starts`].
@@ -493,69 +372,43 @@ impl<'a, A: LabelAdjacency> ScaleEvaluator<'a, A> {
         chunks: usize,
         gov: &Governor,
     ) -> Result<Governed<Vec<u32>>, EvalError> {
-        self.sweep_parts(sources, chunks, gov, |sweep, s0, lanes, out| {
-            let mut m = sweep.extract_starts(&self.dfa, lanes);
-            while m != 0 {
-                let lane = m.trailing_zeros();
-                m &= m - 1;
-                gov.charge_results(1)?;
-                out.push(s0 + lane);
-            }
-            Ok(())
-        })
+        self.scan(sources, chunks, Some(gov), starts_of)
     }
 
-    /// Runs every 64-lane batch of `sources` as [`partitioned`] work over
-    /// `chunks` parts, each part with its own [`Sweep`], and lets
-    /// `extract` append each completed sweep's answers. A trip inside a
-    /// sweep drops that batch whole, so the prefix ends on a batch
-    /// boundary; `extract`'s own trip keeps what it appended, so result
-    /// exhaustion ends *inside* a batch at an exact count.
-    fn sweep_parts<T: Send>(
+    /// The scale route of [`bitkernel::scan`]: `chunks` parts of
+    /// contiguous batches, each with one sweep matrix.
+    fn scan<T: Send>(
         &self,
         sources: Range<u32>,
         chunks: usize,
-        gov: &Governor,
-        extract: impl Fn(&mut Sweep, u32, u32, &mut Vec<T>) -> Result<(), Interrupt> + Sync,
+        gov: Option<&Governor>,
+        emit: impl Fn(&mut Sweep, &Implicit<'_, A>, &mut Vec<T>) + Sync,
     ) -> Result<Governed<Vec<T>>, EvalError> {
         let n = self.adj.node_count();
-        let sources = sources.start.min(n)..sources.end.min(n);
-        let nbatches = sources.len().div_ceil(BATCH);
-        partitioned(nbatches, chunks, Some(gov), false, |batches, out| {
-            let sweep_bytes = self.dfa.sweep_bytes(n);
-            // The worklists are reused scratch: their footprint is the
-            // high-water mark across batches, not the sum, so only growth
-            // beyond the previous peak is charged.
-            let mut touched_hw = 0u64;
-            let swept = gov.charge_memory(sweep_bytes).and_then(|()| {
-                let mut sweep = Sweep::new(n, self.dfa.nq);
-                let mut ticker = Ticker::new(gov);
-                for b in batches {
-                    // Another worker (or an earlier batch) tripped the
-                    // shared governor: stop before sweeping.
-                    if let Some(t) = gov.trip_state() {
-                        return Err(t);
-                    }
-                    let s0 = sources.start + (b * BATCH) as u32;
-                    let s1 = sources.end.min(s0 + BATCH as u32);
-                    sweep.run(self.adj, &self.dfa, s0, s1, &mut ticker)?;
-                    let bytes = sweep.touched.len() as u64 * 8;
-                    if bytes > touched_hw {
-                        // Record the peak before charging: the ledger
-                        // counts the bytes even when the charge trips,
-                        // and the final release must match either way.
-                        let grown = bytes - touched_hw;
-                        touched_hw = bytes;
-                        gov.charge_memory(grown)?;
-                    }
-                    extract(&mut sweep, s0, s1 - s0, out)?;
-                }
-                Ok(())
-            });
-            gov.release_memory(sweep_bytes + touched_hw);
-            swept
-        })
+        let src = Implicit {
+            adj: self.adj,
+            dfa: &self.dfa,
+        };
+        bitkernel::scan(
+            &src,
+            sources.start.min(n)..sources.end.min(n),
+            chunks,
+            gov,
+            emit,
+        )
     }
+}
+
+fn pairs_of<A: LabelAdjacency>(
+    sweep: &mut Sweep,
+    src: &Implicit<'_, A>,
+    out: &mut Vec<(u32, u32)>,
+) {
+    sweep.pairs_into(src, out, |a, b| (a, b));
+}
+
+fn starts_of<A: LabelAdjacency>(sweep: &mut Sweep, src: &Implicit<'_, A>, out: &mut Vec<u32>) {
+    sweep.starts_into(src, out, |a| a);
 }
 
 /// Result of [`triangle_count`]: the total plus the first few matches.

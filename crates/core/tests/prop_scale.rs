@@ -1,13 +1,15 @@
 //! Property-based tests for the scale path (`kgq_core::scale`): on
-//! arbitrary random graphs and label-only expressions, the sharded
-//! 64-lane sweep must return byte-identical output over raw and packed
-//! adjacency at every chunk count, and agree (as a set) with the
-//! product-automaton evaluator.
+//! arbitrary random graphs and label-only expressions, every RPQ route —
+//! the product `Evaluator`, its per-source `*_sequential` oracles, and
+//! the sharded 64-lane sweep over raw and over packed adjacency — must
+//! return byte-identical, unsorted output at every chunk count, and
+//! every result-budgeted run must be the exact prefix of that output.
 
-use kgq_core::eval::eval_pairs;
+use kgq_core::eval::Evaluator;
+use kgq_core::govern::{Budget, Governed, Governor};
 use kgq_core::model::LabeledView;
 use kgq_core::parser::parse_expr;
-use kgq_core::scale::{LabelDfa, PackedAdjacency, RawAdjacency, ScaleEvaluator};
+use kgq_core::scale::{LabelAdjacency, LabelDfa, PackedAdjacency, RawAdjacency, ScaleEvaluator};
 use kgq_graph::{LabelIndex, LabeledGraph, NodeId, PackedLabelIndex};
 use proptest::prelude::*;
 
@@ -16,6 +18,54 @@ const EDGE_LABELS: [&str; 3] = ["a", "b", "c"];
 /// Label-only expressions over the three-letter alphabet, covering
 /// concatenation, alternation, star and the inverse step.
 const EXPRS: [&str; 6] = ["a", "a/b", "(a+b)*/c", "a/b^-", "c*", "(a+b^-)/c*"];
+
+/// Random label-only expressions: labels and their inverses, nested
+/// under concatenation, alternation and star.
+fn expr_strategy() -> impl Strategy<Value = String> {
+    let leaf = (0..EDGE_LABELS.len(), any::<bool>())
+        .prop_map(|(l, inv)| format!("{}{}", EDGE_LABELS[l], if inv { "^-" } else { "" }));
+    leaf.prop_recursive(3, 12, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(x, y)| format!("{x}/{y}")),
+            (inner.clone(), inner.clone()).prop_map(|(x, y)| format!("({x}+{y})")),
+            inner.prop_map(|x| format!("({x})*")),
+        ]
+    })
+}
+
+fn as_u32(nodes: &[NodeId]) -> Vec<u32> {
+    nodes.iter().map(|v| v.0).collect()
+}
+
+fn as_u32_pairs(pairs: &[(NodeId, NodeId)]) -> Vec<(u32, u32)> {
+    pairs.iter().map(|&(a, b)| (a.0, b.0)).collect()
+}
+
+/// One scale route's pairs and starts.
+type Answers = (Governed<Vec<(u32, u32)>>, Governed<Vec<u32>>);
+
+/// One adjacency's scale route: pairs and starts over every source,
+/// unbudgeted or under a result budget.
+trait Routed {
+    fn route(&self, dfa: &LabelDfa, n: u32, chunks: usize, max_results: Option<u64>) -> Answers;
+}
+
+impl<A: LabelAdjacency> Routed for A {
+    fn route(&self, dfa: &LabelDfa, n: u32, chunks: usize, max_results: Option<u64>) -> Answers {
+        let ev = ScaleEvaluator::new(self, dfa.clone());
+        let Some(k) = max_results else {
+            return (
+                Governed::complete(ev.pairs(0..n, chunks)),
+                Governed::complete(ev.matching_starts(0..n, chunks)),
+            );
+        };
+        let gov = || Governor::new(&Budget::unlimited().with_max_results(k));
+        (
+            ev.pairs_governed(0..n, chunks, &gov()).unwrap(),
+            ev.matching_starts_governed(0..n, chunks, &gov()).unwrap(),
+        )
+    }
+}
 
 #[derive(Clone, Debug)]
 struct Spec {
@@ -84,26 +134,64 @@ proptest! {
                 "packed starts chunks={} expr={}", chunks, src);
         }
 
-        // Oracle: the product-automaton evaluator over the same graph.
+        // The product route, unsorted: same bytes, pairs and starts.
         let view = LabeledView::new(&g);
-        let mut oracle: Vec<(u32, u32)> = eval_pairs(&view, &expr)
-            .into_iter()
-            .map(|(s, t)| (s.0, t.0))
-            .collect();
-        oracle.sort_unstable();
-        oracle.dedup();
-        let mut got = base_pairs.clone();
-        got.sort_unstable();
-        got.dedup();
-        prop_assert_eq!(got, oracle, "oracle parity on {}", src);
+        let ev = Evaluator::new(&view, &expr);
+        prop_assert_eq!(&base_pairs, &as_u32_pairs(&ev.pairs()), "product pairs on {}", src);
+        prop_assert_eq!(&base_starts, &as_u32(&ev.matching_starts()), "product starts on {}", src);
+    }
 
-        // matching_starts is the pair sources, deduped — and sorted,
-        // because batches ascend and lanes ascend within a batch.
-        let mut starts_from_pairs: Vec<u32> =
-            base_pairs.iter().map(|&(s, _)| s).collect();
-        starts_from_pairs.sort_unstable();
-        starts_from_pairs.dedup();
-        prop_assert_eq!(base_starts, starts_from_pairs, "starts vs pairs on {}", src);
+    /// Random label-only expressions (inverse steps, nested stars and
+    /// alternations): the product route, its sequential oracles and the
+    /// scale sweep over raw and packed adjacency print the same unsorted
+    /// answers at chunks 1, 2 and 4, and a result budget of `k` cuts
+    /// every route to the same exact `k`-prefix.
+    #[test]
+    fn every_rpq_route_agrees_byte_for_byte(
+        spec in spec_strategy(),
+        src in expr_strategy(),
+        k in 0u64..40,
+    ) {
+        let mut g = build(&spec);
+        let idx = LabelIndex::build(&g);
+        let packed = PackedLabelIndex::from_labeled(&g).unwrap();
+        let n = spec.n as u32;
+        let expr = parse_expr(&src, g.consts_mut()).unwrap();
+        let Ok(dfa) = LabelDfa::compile(&expr, |s| idx.dense_id(s)) else {
+            return Ok(());
+        };
+        let view = LabeledView::new(&g);
+        let ev = Evaluator::new(&view, &expr);
+        let pairs = as_u32_pairs(&ev.pairs());
+        let starts = as_u32(&ev.matching_starts());
+        prop_assert_eq!(&pairs, &as_u32_pairs(&ev.pairs_sequential()), "{}", src);
+        prop_assert_eq!(&starts, &as_u32(&ev.matching_starts_sequential()), "{}", src);
+
+        let capped = || Governor::new(&Budget::unlimited().with_max_results(k));
+        let prefix = |full: &[(u32, u32)], got: Governed<Vec<(u32, u32)>>| {
+            got.value == full[..full.len().min(k as usize)]
+                && got.is_partial() == (full.len() as u64 > k)
+        };
+        let product = ev.pairs_governed(&capped()).unwrap().map(|p| as_u32_pairs(&p));
+        prop_assert!(prefix(&pairs, product), "product pairs k={} on {}", k, src);
+        let got = ev.matching_starts_governed(&capped()).unwrap().map(|s| as_u32(&s));
+        prop_assert_eq!(&got.value[..], &starts[..starts.len().min(k as usize)], "{}", src);
+        prop_assert_eq!(got.is_partial(), starts.len() as u64 > k, "{}", src);
+
+        let raw = RawAdjacency(&idx);
+        let pk = PackedAdjacency(packed.view());
+        for (name, adj) in [("raw", &raw as &dyn Routed), ("packed", &pk)] {
+            for chunks in [1usize, 2, 4] {
+                let at = format!("{name} chunks={chunks} k={k} on {src}");
+                let (p, st) = adj.route(&dfa, n, chunks, None);
+                prop_assert_eq!(&p.value, &pairs, "{}", at);
+                prop_assert_eq!(&st.value, &starts, "{}", at);
+                let (p, st) = adj.route(&dfa, n, chunks, Some(k));
+                prop_assert!(prefix(&pairs, p), "{}", at);
+                prop_assert_eq!(&st.value[..], &starts[..starts.len().min(k as usize)], "{}", at);
+                prop_assert_eq!(st.is_partial(), starts.len() as u64 > k, "{}", at);
+            }
+        }
     }
 
     /// A partial window of sources equals the matching slice of the

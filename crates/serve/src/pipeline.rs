@@ -231,7 +231,7 @@ fn scanned<T>(
     scan: impl FnOnce(&Evaluator) -> Result<Governed<Vec<T>>, EvalError>,
 ) -> Result<Governed<Vec<T>>, EvalError> {
     match compiled {
-        Ok(compiled) => scan(&compiled.evaluator()),
+        Ok(compiled) => scan(compiled.evaluator()),
         Err(EvalError::Interrupted(why)) => Ok(Governed::partial(Vec::new(), why)),
         Err(e) => Err(e),
     }

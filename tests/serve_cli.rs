@@ -38,9 +38,9 @@ fn temp_file(name: &str, contents: &str) -> PathBuf {
 const NT: &str = "<a> <knows> <b> .\n<b> <knows> <c> .\n<c> <knows> <a> .\n\
                   <a> <type> <P> .\n<b> <type> <P> .\n";
 
-/// Boots `kgq serve` on an OS-assigned port; returns the child and the
+/// Boots `kgq serve` on an OS-assigned port; returns the server and the
 /// address parsed from its `listening on ...` line.
-fn boot(extra: &[&str]) -> (Child, String, PathBuf, PathBuf) {
+fn boot(extra: &[&str]) -> (Server, String, PathBuf, PathBuf) {
     let graph = temp_file(
         &format!("graph-{:?}.kgq", std::thread::current().id()),
         &stdout(&run(&[
@@ -54,9 +54,20 @@ fn boot(extra: &[&str]) -> (Child, String, PathBuf, PathBuf) {
     (child, addr, graph, nt)
 }
 
+/// A running `kgq serve` child. Dropping it kills and reaps the process,
+/// so a test that fails before [`stop`] leaves no server behind.
+struct Server(Child);
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 /// Spawns `kgq serve GRAPH ARGS --port 0` and waits for its banner.
-fn spawn_server(graph: &Path, args: &[&str]) -> (Child, String) {
-    let mut child = kgq()
+fn spawn_server(graph: &Path, args: &[&str]) -> (Server, String) {
+    let child = kgq()
         .arg("serve")
         .arg(graph)
         .args(args)
@@ -65,8 +76,9 @@ fn spawn_server(graph: &Path, args: &[&str]) -> (Child, String) {
         .stderr(Stdio::null())
         .spawn()
         .expect("server boots");
+    let mut child = Server(child);
     let mut line = String::new();
-    std::io::BufReader::new(child.stdout.take().expect("piped"))
+    std::io::BufReader::new(child.0.stdout.take().expect("piped"))
         .read_line(&mut line)
         .expect("banner");
     let addr = line
@@ -86,10 +98,10 @@ fn connect(addr: &str) -> Client {
 /// Sends SHUTDOWN and asserts the server process exits cleanly (status
 /// 0) — the CLI-level clean-shutdown contract the CI smoke job relies
 /// on.
-fn stop(mut child: Child, addr: &str) {
+fn stop(mut child: Server, addr: &str) {
     let mut c = connect(addr);
     assert!(c.shutdown().unwrap().ok);
-    let status = child.wait().expect("server exits");
+    let status = child.0.wait().expect("server exits");
     assert!(status.success(), "server exited with {status:?}");
 }
 
@@ -470,8 +482,8 @@ fn durable_server_survives_a_kill_and_matches_an_oracle_store() {
     drop(c);
 
     // No SHUTDOWN: every acknowledged batch must come back from disk.
-    child.kill().unwrap();
-    child.wait().unwrap();
+    child.0.kill().unwrap();
+    child.0.wait().unwrap();
     let (child, addr) = spawn_server(&graph, &["--store", d]);
     check(&addr, &oracle, &edges, "after the restart");
     stop(child, &addr);

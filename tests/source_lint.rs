@@ -33,6 +33,8 @@
 //!    consult fails tier-1.
 //! 8. **one body per algorithm** — an algorithm's inner step occurs in
 //!    one function of its file only.
+//!    A crate-wide variant pins an algorithm to one function of one
+//!    file (the 64-lane sweep lives in `bitkernel.rs` alone).
 //! 9. **one fan-out** — the ordered parallel scans run through
 //!    `kgq_core::parallel::partitioned`; no other file splits its own
 //!    chunks or calls rayon, except the order-free sums exempt by name.
@@ -763,10 +765,50 @@ fn each_algorithm_has_one_body() {
     assert!(problems.is_empty(), "\n{}", problems.join("\n"));
 }
 
+/// One home per algorithm across the crates: `(tokens, file, fn name)`
+/// — a line holding every token may occur in that one function only,
+/// and nowhere else under `crates/*/src`.
+const ONE_HOME: &[(&[&str], &str, &str)] = &[
+    // The 64-lane sweep: the only lane mask OR-ed into a visited word.
+    (
+        &["visited[", "] |="],
+        "crates/core/src/bitkernel.rs",
+        "feed",
+    ),
+];
+
+#[test]
+fn each_algorithm_has_one_home() {
+    let mut problems = Vec::new();
+    for (tokens, home, func) in ONE_HOME {
+        let hit = |l: &str| {
+            let code = l.split("//").next().unwrap_or("");
+            tokens.iter().all(|t| code.contains(t))
+        };
+        for path in crate_sources() {
+            let file = rel(&path);
+            let src = fs::read_to_string(&path).expect("readable source file");
+            let lines = non_test_lines(&src);
+            let found = lines.iter().filter(|l| hit(l)).count();
+            let allowed = match fn_body(&lines, func) {
+                Some(body) if file == *home => body.lines().filter(|l| hit(l)).count(),
+                _ => 0,
+            };
+            if found != allowed || (file == *home && found == 0) {
+                problems.push(format!(
+                    "{file}: {found} line(s) hold {tokens:?}, {allowed} of them in fn `{func}` \
+                     of {home}; the algorithm has one home"
+                ));
+            }
+        }
+    }
+    assert!(problems.is_empty(), "\n{}", problems.join("\n"));
+}
+
 /// The ordered scans that run on `parallel::partitioned`: each must
 /// call it.
 const PARTITIONED_SCANS: &[&str] = &[
-    "crates/core/src/eval.rs",
+    "crates/core/src/bitkernel.rs",
     "crates/core/src/scale.rs",
     "crates/rdf/src/lftj.rs",
 ];
