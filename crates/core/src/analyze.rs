@@ -173,11 +173,12 @@ pub enum PlanAdvice {
     /// Fused sequential product scan: small graphs or tiny products,
     /// where the bit-parallel kernel's setup cost dominates.
     Sequential,
-    /// Multi-source sweep over the [`crate::bitkernel::ReachKernel`]
-    /// 64-source frontier kernel.
+    /// Multi-source sweep on the 64-source frontier kernel
+    /// ([`crate::bitkernel`]).
     BitParallel,
     /// Point reachability checks should use the bidirectional meet
-    /// (`Evaluator::check`); a full materialized sweep is wasteful.
+    /// ([`crate::eval::Evaluator::check`]); a full materialized sweep is
+    /// wasteful.
     Bidirectional,
 }
 

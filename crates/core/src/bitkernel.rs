@@ -9,13 +9,13 @@
 //! source", and successor expansion is a single `|=` that advances all 64
 //! frontiers at once.
 //!
-//! The sweep steps on a [`Transitions`] source, of which there are two:
-//! the deduplicated product CSR of a [`ReachKernel`] (the product route,
+//! The sweep steps on a `Transitions` source, of which there are two:
+//! the deduplicated product CSR of a `ReachKernel` (the product route,
 //! [`crate::eval::Evaluator`]) and the implicit `v·|Q| + q` states of a
 //! label automaton over an adjacency, never materialized (the scale
-//! route, [`crate::scale::ScaleEvaluator`]). Both run through [`scan`]: one
-//! propagation loop ([`Sweep::run`]), one lane-major extraction
-//! ([`Sweep::pairs_into`], [`Sweep::starts_into`]), one accounting.
+//! route, [`crate::scale::ScaleEvaluator`]). Both run through `scan`: one
+//! propagation loop (`Sweep::run`), one lane-major extraction
+//! (`Sweep::pairs_into`, `Sweep::starts_into`), one accounting.
 //!
 //! Propagation is round-synchronized (level BFS): all 64 frontiers
 //! advance together, so a state accumulates every bit arriving in a round
@@ -31,11 +31,10 @@
 //! sources ascending, then targets ascending, at every thread count and
 //! part split.
 //!
-//! The kernel also carries the deduplicated predecessor CSR used by the
-//! bidirectional meet-in-the-middle search behind
-//! [`crate::eval::Evaluator::check`]: reachability only needs *whether*
-//! a neighbouring state is reachable, and collapsing parallel edges
-//! shrinks the scanned lists.
+//! The kernel holds only what the sweep reads: the deduplicated
+//! successor CSR and the accepting states by node. Point lookups
+//! ([`crate::eval::Evaluator::check`]) search the product itself and
+//! borrow only `ReachKernel::accepting_at` to find their targets.
 
 use crate::govern::{EvalError, Governed, Governor, Interrupt, Ticker};
 use crate::parallel::partitioned;
@@ -78,26 +77,20 @@ pub(crate) trait Transitions: Sync {
 }
 
 /// Precomputed reachability view of a [`Product`]: deduplicated
-/// successor/predecessor adjacency (edge identities dropped) plus the
-/// accepting states by node, in flat CSR form.
-pub struct ReachKernel {
+/// successor adjacency (edge identities dropped) in flat CSR form, plus
+/// the accepting states by node.
+pub(crate) struct ReachKernel {
     /// CSR offsets into `succ`.
     succ_off: Vec<u32>,
     /// Distinct successor states, sorted per state.
     succ: Vec<PState>,
-    /// CSR offsets into `pred`.
-    pred_off: Vec<u32>,
-    /// Distinct predecessor states, sorted per state.
-    pred: Vec<PState>,
-    /// All accepting product states, ascending.
-    accepting: Vec<PState>,
     /// Accepting states with their graph nodes, sorted by node.
     accepting_by_node: Vec<(NodeId, PState)>,
 }
 
 impl ReachKernel {
-    /// Builds the kernel's masks from a product. `O(transitions)`.
-    pub fn build(p: &Product) -> ReachKernel {
+    /// Builds the kernel from a product. `O(transitions)`.
+    pub(crate) fn build(p: &Product) -> ReachKernel {
         let n = p.state_count();
         let mut succ_off = Vec::with_capacity(n + 1);
         let mut succ = Vec::new();
@@ -109,32 +102,20 @@ impl ReachKernel {
             succ.extend(targets);
             succ_off.push(succ.len() as u32);
         }
-        let mut pred_off = Vec::with_capacity(n + 1);
-        let mut pred = Vec::new();
-        pred_off.push(0u32);
-        for s in 0..n as PState {
-            let mut sources: Vec<PState> = p.preds(s).iter().map(|&(s2, _)| s2).collect();
-            sources.sort_unstable();
-            sources.dedup();
-            pred.extend(sources);
-            pred_off.push(pred.len() as u32);
-        }
-        let accepting: Vec<PState> = (0..n as PState).filter(|&s| p.is_accepting(s)).collect();
-        let mut accepting_by_node: Vec<(NodeId, PState)> =
-            accepting.iter().map(|&s| (p.node_of(s), s)).collect();
+        let mut accepting_by_node: Vec<(NodeId, PState)> = (0..n as PState)
+            .filter(|&s| p.is_accepting(s))
+            .map(|s| (p.node_of(s), s))
+            .collect();
         accepting_by_node.sort_unstable();
         ReachKernel {
             succ_off,
             succ,
-            pred_off,
-            pred,
-            accepting,
             accepting_by_node,
         }
     }
 
     /// Number of product states covered.
-    pub fn state_count(&self) -> usize {
+    fn state_count(&self) -> usize {
         self.succ_off.len() - 1
     }
 
@@ -145,51 +126,13 @@ impl ReachKernel {
         &self.succ[self.succ_off[s] as usize..self.succ_off[s + 1] as usize]
     }
 
-    /// Distinct predecessors of `s`.
-    #[inline]
-    fn pred(&self, s: PState) -> &[PState] {
-        let s = s as usize;
-        &self.pred[self.pred_off[s] as usize..self.pred_off[s + 1] as usize]
-    }
-
-    /// One bit-parallel pass: the reachability bit-matrix for up to
-    /// [`BATCH`] sources (bit `j` of word `s` ⇔ product state `s` is
-    /// reachable from `sources[j]`'s initial states).
-    pub fn sweep(&self, p: &Product, sources: &[NodeId]) -> Vec<u64> {
-        match self.sweep_with(p, sources, &mut Ticker::none()) {
-            Ok(v) => v,
-            Err(i) => unreachable!("ungoverned sweep interrupted: {i}"),
-        }
-    }
-
-    /// Governed [`ReachKernel::sweep`]: holds the bit-matrix against the
-    /// memory budget while it runs and charges each expansion's
-    /// out-degree to the step budget — exactly one part of a governed
-    /// scan.
-    pub fn sweep_governed(
-        &self,
-        p: &Product,
-        sources: &[NodeId],
-        gov: &Governor,
-    ) -> Result<Vec<u64>, Interrupt> {
-        let bytes = sweep_bytes(self.state_count() as u64);
-        let swept = gov
-            .charge_memory(bytes)
-            .and_then(|()| self.sweep_with(p, sources, &mut Ticker::new(gov)));
-        gov.release_memory(bytes);
-        swept
-    }
-
-    fn sweep_with(
-        &self,
-        p: &Product,
-        sources: &[NodeId],
-        ticker: &mut Ticker<'_>,
-    ) -> Result<Vec<u64>, Interrupt> {
-        debug_assert!(sources.len() <= BATCH, "more than {BATCH} sources");
-        let mut sweep = Sweep::new(self.state_count());
-        sweep.run(&self.over(p), sources.iter().map(|v| v.0), ticker)?;
-        Ok(sweep.lanes.visited)
+    /// The accepting states at node `b`, ascending.
+    pub(crate) fn accepting_at(&self, b: NodeId) -> impl Iterator<Item = PState> + '_ {
+        let lo = self.accepting_by_node.partition_point(|&(v, _)| v < b);
+        self.accepting_by_node[lo..]
+            .iter()
+            .take_while(move |&&(v, _)| v == b)
+            .map(|&(_, s)| s)
     }
 
     /// The kernel as the sweep's transition source over `p`.
@@ -198,79 +141,6 @@ impl ReachKernel {
             kernel: self,
             product: p,
         }
-    }
-
-    /// Bidirectional meet-in-the-middle reachability: true iff some
-    /// accepting state at node `b` is reachable from `a`'s initial
-    /// states. Expands whichever frontier is cheaper (by total degree)
-    /// each round, so highly asymmetric searches do sublinear work
-    /// compared to a full forward BFS.
-    pub fn check(&self, p: &Product, a: NodeId, b: NodeId) -> bool {
-        let inits = p.initial(a);
-        if inits.is_empty() {
-            return false;
-        }
-        let targets: Vec<PState> = self
-            .accepting
-            .iter()
-            .copied()
-            .filter(|&s| p.node_of(s) == b)
-            .collect();
-        if targets.is_empty() {
-            return false;
-        }
-        let n = self.state_count();
-        let mut fseen = vec![false; n];
-        let mut bseen = vec![false; n];
-        let mut ffr: Vec<PState> = Vec::new();
-        let mut bfr: Vec<PState> = Vec::new();
-        for &s in &targets {
-            bseen[s as usize] = true;
-            bfr.push(s);
-        }
-        for &s in inits {
-            if !fseen[s as usize] {
-                fseen[s as usize] = true;
-                if bseen[s as usize] {
-                    return true; // zero-edge match
-                }
-                ffr.push(s);
-            }
-        }
-        while !ffr.is_empty() && !bfr.is_empty() {
-            let fcost: usize = ffr.iter().map(|&s| self.succ(s).len()).sum();
-            let bcost: usize = bfr.iter().map(|&s| self.pred(s).len()).sum();
-            if fcost <= bcost {
-                let mut next = Vec::new();
-                for &s in &ffr {
-                    for &s2 in self.succ(s) {
-                        if !fseen[s2 as usize] {
-                            fseen[s2 as usize] = true;
-                            if bseen[s2 as usize] {
-                                return true;
-                            }
-                            next.push(s2);
-                        }
-                    }
-                }
-                ffr = next;
-            } else {
-                let mut next = Vec::new();
-                for &s in &bfr {
-                    for &s2 in self.pred(s) {
-                        if !bseen[s2 as usize] {
-                            bseen[s2 as usize] = true;
-                            if fseen[s2 as usize] {
-                                return true;
-                            }
-                            next.push(s2);
-                        }
-                    }
-                }
-                bfr = next;
-            }
-        }
-        false
     }
 }
 
@@ -306,7 +176,9 @@ impl Transitions for ProductSteps<'_> {
     }
 
     fn accepting(&self, _reached: &[u32], mut f: impl FnMut(u32)) {
-        self.kernel.accepting.iter().for_each(|&s| f(s));
+        for &(_, s) in &self.kernel.accepting_by_node {
+            f(s);
+        }
     }
 
     fn accepting_by_node(&self, _reached: &mut [u32], mut f: impl FnMut(u32, u32)) {
@@ -576,9 +448,12 @@ pub(crate) fn scan<S: Transitions, T: Send>(
 mod tests {
     use super::*;
     use crate::eval::Evaluator;
+    use crate::govern::Budget;
     use crate::model::LabeledView;
+    use crate::parallel::{effective_threads, pin_threads, set_threads};
     use crate::parser::parse_expr;
     use kgq_graph::figures::figure2_labeled;
+    use kgq_graph::generate::gnm_labeled;
 
     fn eval(expr: &str) -> (Evaluator, usize) {
         let mut g = figure2_labeled();
@@ -631,12 +506,11 @@ mod tests {
     fn bidirectional_check_agrees_with_forward_bfs() {
         for expr in ["(contact)*", "rides/rides^-", "{!rides & !lives}^-"] {
             let (ev, n) = eval(expr);
-            let kernel = ReachKernel::build(ev.product());
             for a in 0..n as u32 {
                 let ends = ev.ends_from(NodeId(a));
                 for b in 0..n as u32 {
                     assert_eq!(
-                        kernel.check(ev.product(), NodeId(a), NodeId(b)),
+                        ev.check(NodeId(a), NodeId(b)),
                         ends.binary_search(&NodeId(b)).is_ok(),
                         "expr {expr} {a}->{b}"
                     );
@@ -648,11 +522,47 @@ mod tests {
     #[test]
     fn governed_sweep_with_unlimited_budget_is_identical() {
         let (ev, n) = eval("(contact + rides/rides^-)*");
-        let kernel = ReachKernel::build(ev.product());
-        let sources: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+        let src = ev.kernel().over(ev.product());
+        let matrix = |gov| {
+            let swept = scan(&src, 0..n as u32, 1, gov, |s, _, out| {
+                out.push(s.lanes.visited.clone())
+            });
+            swept.unwrap().value
+        };
         let gov = Governor::unlimited();
-        let governed = kernel.sweep_governed(ev.product(), &sources, &gov).unwrap();
-        assert_eq!(governed, kernel.sweep(ev.product(), &sources));
+        assert_eq!(matrix(Some(&gov)), matrix(None));
         assert_eq!(gov.memory_used(), 0, "the sweep's matrix is released");
+    }
+
+    /// With one thread, batches are admitted as they finish: a result
+    /// budget that refuses inside the first batch stops the sweep there,
+    /// so the scan spends exactly the steps of sweeping that one batch.
+    #[test]
+    fn a_result_budget_stops_the_sequential_sweep_at_the_first_refused_batch() {
+        let _threads = pin_threads();
+        let restore = effective_threads();
+        set_threads(1);
+        let mut g = gnm_labeled(400, 1600, &["a", "b"], &["p", "q"], 3);
+        let e = parse_expr("(p+q)*", g.consts_mut()).unwrap();
+        let view = LabeledView::new(&g);
+        let ev = Evaluator::new(&view, &e);
+        let one_batch = Governor::unlimited();
+        let src = ev.kernel().over(ev.product());
+        scan(
+            &src,
+            0..BATCH as u32,
+            1,
+            Some(&one_batch),
+            |_, _, _: &mut Vec<()>| {},
+        )
+        .unwrap();
+        let all_batches = Governor::unlimited();
+        ev.pairs_governed(&all_batches).unwrap();
+        let capped = Governor::new(&Budget::default().with_max_results(5));
+        let res = ev.pairs_governed(&capped).unwrap();
+        assert_eq!(res.value, ev.pairs()[..5]);
+        assert_eq!(capped.steps_used(), one_batch.steps_used());
+        assert!(one_batch.steps_used() < all_batches.steps_used());
+        set_threads(restore);
     }
 }

@@ -402,10 +402,15 @@ fn drain_governed(
                 paths.push(p);
             }
             Ok(None) => {
+                // Charge the DFS's last < `Ticker::BATCH` steps; a trip
+                // here still keeps every answer found.
+                if let Err(why) = ticker.flush() {
+                    return Ok(truncated(paths, k, why));
+                }
                 return Ok(Governed::complete(EnumerationPage {
                     paths,
                     cursor: None,
-                }))
+                }));
             }
             Err(why) => return Ok(truncated(paths, k, why)),
         }
@@ -441,6 +446,7 @@ pub fn enumerate_paths_upto<G: PathGraph>(g: &G, expr: &PathExpr, k: usize) -> V
 mod tests {
     use super::*;
     use crate::count::count_paths;
+    use crate::govern::Budget;
     use crate::model::LabeledView;
     use crate::parser::parse_expr;
     use crate::product::Product;
@@ -520,5 +526,26 @@ mod tests {
         let view = LabeledView::new(&g);
         let mut it = PathEnumerator::new(&view, &e, 2);
         assert!(it.next().is_none());
+    }
+
+    #[test]
+    fn the_depth_first_search_is_charged_to_the_step_budget() {
+        // A longer enumeration walks a larger DFS, so the smallest step
+        // budget that lets length 1 finish must cut length 4 short — and
+        // the cut keeps every answer found before it.
+        let mut g = gnm_labeled(20, 30, &["a", "b"], &["p", "q"], 3);
+        let e = parse_expr("(p+q)*", g.consts_mut()).unwrap();
+        let view = LabeledView::new(&g);
+        let run = |k, steps| {
+            let gov = Governor::new(&Budget::default().with_max_steps(steps));
+            enumerate_paths_governed(&view, &e, k, &gov)
+        };
+        // Below some budget even the shared preprocessing trips.
+        let fits = (1..10_000)
+            .find(|&steps| run(1, steps).is_ok_and(|page| page.completion.is_complete()))
+            .expect("length 1 finishes under some budget");
+        let cut = run(4, fits).unwrap();
+        assert!(cut.is_partial(), "length 4 fits in {fits} steps");
+        assert!(enumerate_paths(&view, &e, 4).starts_with(&cut.value.paths));
     }
 }

@@ -8,16 +8,17 @@
 //! existence — not counting — is asked).
 //!
 //! Multi-source scans ([`Evaluator::pairs`], [`Evaluator::matching_starts`])
-//! run the bit-parallel sweep over the [`ReachKernel`]: each pass advances
-//! 64 BFS sources at once (see [`crate::bitkernel`]), and batches fan out
-//! across threads (see [`crate::parallel`]). Batch results are concatenated in
-//! source order, so the output is byte-identical to the per-source
+//! run the bit-parallel sweep over the product's deduplicated successor
+//! CSR: each pass advances 64 BFS sources at once (see
+//! [`crate::bitkernel`]), and batches fan out across threads (see
+//! [`crate::parallel`]). Batch results are concatenated in source order,
+//! so the output is byte-identical to the per-source
 //! sequential references ([`Evaluator::pairs_sequential`],
 //! [`Evaluator::matching_starts_sequential`]) regardless of thread count.
 //! Point lookups ([`Evaluator::check`], [`Evaluator::shortest_witness`])
-//! instead search bidirectionally — forward from the source's initial
-//! states, backward from the accepting states at the target over the
-//! `preds` CSR — meeting in the middle.
+//! instead search the product itself bidirectionally — forward from the
+//! source's initial states over `out`, backward from the accepting states
+//! at the target over `preds` — meeting in the middle.
 //!
 //! Expressions are compiled through [`Nfa::compile_min`]: the minimized
 //! automaton has no ε-skeleton and (usually) fewer states, which shrinks
@@ -73,7 +74,7 @@ impl Evaluator {
     }
 
     /// The bit-parallel reachability kernel, built on first use.
-    pub fn kernel(&self) -> &ReachKernel {
+    pub(crate) fn kernel(&self) -> &ReachKernel {
         self.kernel
             .get_or_init(|| ReachKernel::build(&self.product))
     }
@@ -118,10 +119,61 @@ impl Evaluator {
     /// True if some matching path runs from `a` to `b`.
     ///
     /// Searches bidirectionally over the product — forward from `a`'s
-    /// initial states, backward from the accepting states at `b` — and
-    /// answers as soon as the frontiers meet.
+    /// initial states over `out`, backward from the accepting states at
+    /// `b` over `preds` — expanding whichever frontier is cheaper (by
+    /// total degree) each round, and answers as soon as the frontiers
+    /// meet.
     pub fn check(&self, a: NodeId, b: NodeId) -> bool {
-        self.kernel().check(&self.product, a, b)
+        let p = &*self.product;
+        let n = p.state_count();
+        let (mut fseen, mut bseen) = (vec![false; n], vec![false; n]);
+        let mut bfr: Vec<PState> = self.kernel().accepting_at(b).collect();
+        for &s in &bfr {
+            bseen[s as usize] = true;
+        }
+        let mut ffr: Vec<PState> = Vec::new();
+        for &s in p.initial(a) {
+            if bseen[s as usize] {
+                return true; // zero-edge match
+            }
+            if !fseen[s as usize] {
+                fseen[s as usize] = true;
+                ffr.push(s);
+            }
+        }
+        // Marks `s2` seen on this side; true once the other side saw it.
+        let step = |seen: &mut [bool], other: &[bool], next: &mut Vec<PState>, s2: PState| {
+            if !seen[s2 as usize] {
+                seen[s2 as usize] = true;
+                next.push(s2);
+            }
+            other[s2 as usize]
+        };
+        while !ffr.is_empty() && !bfr.is_empty() {
+            let fcost: usize = ffr.iter().map(|&s| p.out(s).len()).sum();
+            let bcost: usize = bfr.iter().map(|&s| p.preds(s).len()).sum();
+            let mut next = Vec::new();
+            if fcost <= bcost {
+                for &s in &ffr {
+                    for &(_, s2) in p.out(s) {
+                        if step(&mut fseen, &bseen, &mut next, s2) {
+                            return true;
+                        }
+                    }
+                }
+                ffr = next;
+            } else {
+                for &s in &bfr {
+                    for &(s2, _) in p.preds(s) {
+                        if step(&mut bseen, &fseen, &mut next, s2) {
+                            return true;
+                        }
+                    }
+                }
+                bfr = next;
+            }
+        }
+        false
     }
 
     /// All `(start, end)` pairs connected by a matching path.

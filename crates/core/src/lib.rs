@@ -63,7 +63,6 @@ pub use approx::{
     approx_count, approx_count_amplified, approx_count_governed, ApproxCounter, ApproxParams,
 };
 pub use automata::{MinimizedNfa, Nfa, NfaSignature};
-pub use bitkernel::ReachKernel;
 pub use cache::{CacheStats, CompiledQuery, QueryCache};
 pub use count::{
     count_paths, count_paths_governed, count_paths_governed_with, count_paths_naive, CountError,

@@ -194,6 +194,17 @@ pub fn ungoverned<T>(res: Result<Governed<T>, EvalError>) -> T {
     }
 }
 
+/// The pool size is process-wide: unit tests that set it hold this
+/// guard, so one that needs a single thread is not switched to four
+/// mid-scan.
+#[cfg(test)]
+pub(crate) fn pin_threads() -> std::sync::MutexGuard<'static, ()> {
+    static THREADS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    THREADS
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,6 +259,7 @@ mod tests {
         // Part 0 completes; only then does part 1 push one item and trip
         // the step budget. The merge must keep all four items: admitting
         // part 0 after the trip is not refused by it.
+        let _threads = pin_threads();
         let restore = effective_threads();
         for threads in [1, 2, 4] {
             set_threads(threads);

@@ -194,13 +194,8 @@ pub trait LabelAdjacency: Sync {
     fn out_into(&self, v: u32, l: u32, buf: &mut Vec<u32>);
     /// Appends the in-neighbors of `v` under dense label `l`.
     fn in_into(&self, v: u32, l: u32, buf: &mut Vec<u32>);
-    /// Out-degree restricted to `l` (no decode where avoidable).
-    fn out_degree(&self, v: u32, l: u32) -> usize;
     /// Point probe: is `v --l--> x` an edge?
     fn contains_out(&self, v: u32, l: u32, x: u32) -> bool;
-    /// Whether `out_into` yields sorted neighbors (packed runs do; raw
-    /// label runs are `(label, edge)`-ordered).
-    fn out_sorted(&self) -> bool;
 }
 
 /// [`LabelAdjacency`] over the raw flat [`LabelIndex`].
@@ -228,17 +223,11 @@ impl LabelAdjacency for RawAdjacency<'_> {
                 .map(|&(_, _, s)| s.0),
         );
     }
-    fn out_degree(&self, v: u32, l: u32) -> usize {
-        self.0.out_with_dense(NodeId(v), l).len()
-    }
     fn contains_out(&self, v: u32, l: u32, x: u32) -> bool {
         self.0
             .out_with_dense(NodeId(v), l)
             .iter()
             .any(|&(_, _, d)| d.0 == x)
-    }
-    fn out_sorted(&self) -> bool {
-        false
     }
 }
 
@@ -257,14 +246,8 @@ impl LabelAdjacency for PackedAdjacency<'_> {
     fn in_into(&self, v: u32, l: u32, buf: &mut Vec<u32>) {
         self.0.decode_in_into(v, l, buf);
     }
-    fn out_degree(&self, v: u32, l: u32) -> usize {
-        self.0.out_degree(v, l)
-    }
     fn contains_out(&self, v: u32, l: u32, x: u32) -> bool {
         self.0.out_run(v, l).is_some_and(|r| r.contains(x))
-    }
-    fn out_sorted(&self) -> bool {
-        true
     }
 }
 
@@ -519,6 +502,11 @@ pub fn triangle_count<A: LabelAdjacency>(
                 break;
             }
         }
+        // The last < `Ticker::BATCH` steps are charged once the part's
+        // apexes are done, so a trip here keeps every one of them.
+        if closed.is_ok() {
+            closed = ticker.flush();
+        }
         gov.release_memory(scratch_hw);
         out.push(tc);
         closed
@@ -697,14 +685,8 @@ mod tests {
         fn in_into(&self, v: u32, l: u32, buf: &mut Vec<u32>) {
             self.0.in_into(v, l, buf);
         }
-        fn out_degree(&self, v: u32, l: u32) -> usize {
-            self.0.out_degree(v, l)
-        }
         fn contains_out(&self, v: u32, l: u32, x: u32) -> bool {
             self.0.contains_out(v, l, x)
-        }
-        fn out_sorted(&self) -> bool {
-            false
         }
     }
 

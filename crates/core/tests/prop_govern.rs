@@ -13,7 +13,7 @@ use kgq_core::model::LabeledView;
 use kgq_core::parallel::set_threads;
 use kgq_core::parser::parse_expr;
 use kgq_graph::generate::{barabasi_albert, gnm_labeled};
-use kgq_graph::{LabeledGraph, NodeId};
+use kgq_graph::LabeledGraph;
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
@@ -251,29 +251,4 @@ proptest! {
         prop_assert_eq!(cache.hits(), 1);
         prop_assert_eq!(warm.evaluator().pairs(), cold_pairs);
     }
-}
-
-/// With one thread, batches are admitted as they finish: a result budget
-/// that refuses inside the first batch stops the sweep there, so the
-/// scan spends exactly the steps of sweeping that one batch.
-#[test]
-fn a_result_budget_stops_the_sequential_sweep_at_the_first_refused_batch() {
-    let _threads = pin_threads();
-    set_threads(1);
-    let mut g = gnm_labeled(400, 1600, &["a", "b"], &["p", "q"], 3);
-    let e = parse_expr("(p+q)*", g.consts_mut()).unwrap();
-    let view = LabeledView::new(&g);
-    let ev = Evaluator::new(&view, &e);
-    let first: Vec<NodeId> = (0..64).map(NodeId).collect();
-    let one_batch = Governor::unlimited();
-    ev.kernel()
-        .sweep_governed(ev.product(), &first, &one_batch)
-        .unwrap();
-    let all_batches = Governor::unlimited();
-    ev.pairs_governed(&all_batches).unwrap();
-    let capped = Governor::new(&Budget::default().with_max_results(5));
-    let res = ev.pairs_governed(&capped).unwrap();
-    assert_eq!(res.value, ev.pairs()[..5]);
-    assert_eq!(capped.steps_used(), one_batch.steps_used());
-    assert!(one_batch.steps_used() < all_batches.steps_used());
 }

@@ -37,7 +37,7 @@
 //! format everywhere.
 
 use kgq_core::Budget;
-use std::io::{BufRead, ErrorKind, IoSlice, Write};
+use std::io::{BufRead, ErrorKind, IoSlice, Read, Write};
 use std::time::Duration;
 
 /// Request verbs understood by the server.
@@ -249,6 +249,11 @@ impl Response {
 /// the server allocate unbounded memory.
 pub const MAX_PAYLOAD: usize = 16 * 1024 * 1024;
 
+/// Longest frame header line read, newline included. A header is four
+/// short fields; without this cap a peer that never sends `\n` would grow
+/// the line without bound.
+pub const MAX_HEADER: usize = 4096;
+
 /// Sends one frame, `header` then `body`, and flushes. Both go to one
 /// `write_vectored` call, so a socket sees the whole frame in one
 /// segment train instead of a small header write whose ACK the peer
@@ -365,9 +370,15 @@ fn read_payload(r: &mut impl BufRead, len: &str) -> Result<String, PayloadError>
 /// boundary (i.e. a clean close).
 fn read_header_line(r: &mut impl BufRead) -> std::io::Result<Option<String>> {
     let mut line = String::new();
-    let n = r.read_line(&mut line)?;
+    let n = r.by_ref().take(MAX_HEADER as u64).read_line(&mut line)?;
     if n == 0 {
         return Ok(None);
+    }
+    if n == MAX_HEADER && !line.ends_with('\n') {
+        return Err(std::io::Error::new(
+            ErrorKind::InvalidData,
+            format!("frame header longer than {MAX_HEADER} bytes"),
+        ));
     }
     while line.ends_with('\n') || line.ends_with('\r') {
         line.pop();
@@ -419,6 +430,22 @@ mod tests {
             body: "a\tb\n".into()
         }
         .is_partial());
+    }
+
+    #[test]
+    fn an_endless_header_line_is_a_framing_error() {
+        let wire = vec![b'7'; 1 << 20];
+        let mut r = BufReader::new(&wire[..]);
+        let err = read_request(&mut r).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        assert!(err.to_string().contains("longer than"), "{err}");
+        // One line that just fits is still read.
+        let mut wire = format!("1 PING - 0{}\n", " ".repeat(MAX_HEADER - 11)).into_bytes();
+        assert_eq!(wire.len(), MAX_HEADER);
+        wire.extend_from_slice(b"2 PING - 0\n");
+        let mut r = BufReader::new(&wire[..]);
+        assert_eq!(read_request(&mut r).unwrap().unwrap().id, 1);
+        assert_eq!(read_request(&mut r).unwrap().unwrap().id, 2);
     }
 
     /// A sink that records its bytes and counts `write`/`write_vectored`

@@ -214,6 +214,38 @@ fn malformed_frames_and_bad_queries_do_not_wedge_the_server() {
 }
 
 #[test]
+fn an_endless_header_line_closes_the_connection() {
+    use std::io::{ErrorKind, Read, Write};
+    let handle = boot(Budget::unlimited(), 2);
+    let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    raw.set_write_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    // 1 MiB with no newline: the server reads one header's worth, answers
+    // a protocol error and hangs up, so the rest of the write may fail.
+    let _ = raw.write_all(&vec![b'7'; 1 << 20]);
+    let mut buf = Vec::new();
+    match raw.read_to_end(&mut buf) {
+        // The hang-up may reset the connection before the ERR frame lands.
+        Ok(_) => assert!(
+            buf.is_empty() || String::from_utf8_lossy(&buf).starts_with("0 ERR"),
+            "{}",
+            String::from_utf8_lossy(&buf)
+        ),
+        Err(e) => assert!(
+            matches!(
+                e.kind(),
+                ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted
+            ),
+            "the connection stayed open: {e}"
+        ),
+    }
+    let mut c = connect(&handle);
+    assert!(c.ping().unwrap());
+    handle.shutdown();
+}
+
+#[test]
 fn disconnect_reclaims_queued_work() {
     // One worker so a backlog can build; a client queues several slow
     // queries then vanishes. The server must reclaim the backlog and

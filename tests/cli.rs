@@ -539,3 +539,42 @@ fn cypher_step_budget_trips_a_search_shorter_than_one_batch() {
         "{rows:?} is not a prefix of {full:?}"
     );
 }
+
+#[test]
+fn a_short_step_budget_cuts_scale_triangles() {
+    // The whole window costs fewer steps than one ticker batch, so the
+    // budget only bites if each part charges its last steps.
+    let dir = std::env::temp_dir().join(format!("kgq-cli-tri-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let seg = dir.join("tri.seg");
+    let s = seg.to_str().unwrap();
+    stdout(&run(&[
+        "scale", "gen", s, "--nodes", "5000", "--m", "4", "--labels", "2", "--seed", "9",
+    ]));
+    let triangles = |steps: &str| {
+        stdout(&run(&[
+            "scale",
+            "triangles",
+            s,
+            "l0",
+            "l0",
+            "l0",
+            "--from",
+            "0",
+            "--span",
+            "20",
+            "--max-steps",
+            steps,
+        ]))
+    };
+    let full = triangles("100000");
+    assert!(!full.contains("# partial:"), "{full}");
+    let cut = triangles("10");
+    assert!(cut.ends_with("# partial: step budget exhausted\n"), "{cut}");
+    // Past the count line, the cut keeps a prefix of the full run's rows.
+    let rows = |out: &str| out.lines().skip(1).map(str::to_owned).collect::<Vec<_>>();
+    let (cut_rows, full_rows) = (rows(&cut), rows(&full));
+    let kept = &cut_rows[..cut_rows.len() - 1];
+    assert_eq!(kept, &full_rows[..kept.len()]);
+    std::fs::remove_dir_all(&dir).ok();
+}
